@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 from typing import Sequence
 
 from .errors import FwconformError
-from .firewall import Address, AuthMode, Fault
+from .firewall import Address, AuthMode, Fault, FilterRule
 from .formal import (
     ALL_REQUIREMENTS,
     Campaign,
@@ -56,11 +56,16 @@ def child_seed(seed: int, requirement_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _fresh_bench(scenario: Scenario, requirement_id: str, faults: Sequence[Fault]) -> Testbench:
+def _fresh_bench(
+    scenario: Scenario,
+    requirement_id: str,
+    faults: Sequence[Fault],
+    rules: Sequence[FilterRule],
+) -> Testbench:
     return build_testbench(
         external=scenario.external,
         internal=scenario.internal,
-        rules=resolve_rules(scenario),
+        rules=rules,
         accounts=scenario.accounts,
         files=scenario.files,
         auth_mode=scenario.auth_mode or AuthMode.REMOTE,
@@ -88,7 +93,7 @@ def run_campaign(scenario: Scenario, faults: Sequence[Fault] | None = None) -> R
     for req in campaign.claimed_requirements():
         procedure = procedures[req.id]
         try:
-            bench = _fresh_bench(scenario, req.id, active)
+            bench = _fresh_bench(scenario, req.id, active, rules)
             if req.kind in _LEVEL_FOR:
                 evidence = run_filter_procedure(
                     bench, rules, _LEVEL_FOR[req.kind], scenario.traffic

@@ -251,6 +251,14 @@ class Firewall:
 
     Single-threaded: the journal and file store are mutable.  Distinct
     instances are fully independent.
+
+    Every rule is exact on its (src, dst) address pair, so the rule engine
+    keeps a pair index: each pair maps to its rules in `order` order, each
+    tagged with its position in the whole order-sorted list.  Screening a
+    packet scans only its pair's bucket, and a fault that names a rule
+    index (`invert_rule`) still means that global position.  The faults
+    are fixed at construction, so the sets the hot paths consult are
+    worked out once there.
     """
 
     def __init__(
@@ -265,9 +273,18 @@ class Firewall:
         self.auth_mode = auth_mode
         self.management = management if management is not None else Address("198.18.0.1")
         self.faults = tuple(faults)
+        self._ignored_fields = frozenset(
+            str(f.param) for f in self.faults if f.name is FaultName.IGNORE_FIELD
+        )
+        self._inverted_rules = frozenset(
+            f.param for f in self.faults if f.name is FaultName.INVERT_RULE
+        )
+        skipped = {f.param for f in self.faults if f.name is FaultName.SKIP_JOURNAL}
+        self._unjournaled = frozenset(e for e in FILTER_EVENTS if e.value in skipped)
+        if self._has_fault(FaultName.OMIT_AUTH_JOURNAL):
+            self._unjournaled |= frozenset(AUTH_EVENTS)
         self._journal: list[JournalEntry] = []
         self._seq = 0
-        self._rules: list[FilterRule] = []
         self.set_rules(rules)
         self._accounts: tuple[AdminAccount, ...] = ()
         self.activate_auth(accounts)
@@ -292,11 +309,15 @@ class Firewall:
         orders = [r.order for r in ordered]
         if len(set(orders)) != len(orders):
             raise ValueError("rule orders must be unique")
-        self._rules = list(ordered)
+        self._rules = tuple(ordered)
+        buckets: dict[tuple[str, str], list[tuple[int, FilterRule]]] = {}
+        for index, rule in enumerate(ordered):
+            buckets.setdefault((rule.src, rule.dst), []).append((index, rule))
+        self._buckets = buckets
 
     @property
     def rules(self) -> tuple[FilterRule, ...]:
-        return tuple(self._rules)
+        return self._rules
 
     def activate_auth(self, accounts: Sequence[AdminAccount]) -> None:
         ids = [a.identifier for a in accounts]
@@ -327,26 +348,17 @@ class Firewall:
     def _has_fault(self, name: FaultName, param=None) -> bool:
         return any(f.name is name and (param is None or f.param == param) for f in self.faults)
 
-    @property
-    def _ignored_fields(self) -> frozenset[str]:
-        return frozenset(
-            str(f.param) for f in self.faults if f.name is FaultName.IGNORE_FIELD
-        )
-
     def _journal_event(self, event: JournalEvent, subject: tuple[str, ...]) -> None:
-        if event in FILTER_EVENTS and self._has_fault(FaultName.SKIP_JOURNAL, event.value):
-            return
-        if event in AUTH_EVENTS and self._has_fault(FaultName.OMIT_AUTH_JOURNAL):
+        if event in self._unjournaled:
             return
         self._seq += 1
         self._journal.append(JournalEntry(self._seq, event, subject))
 
     # -- screening ---------------------------------------------------------
 
-    def _rule_matches(self, rule: FilterRule, packet: Packet) -> bool:
+    def _fields_match(self, rule: FilterRule, packet: Packet) -> bool:
+        # The address pair already matched: the rule came from its bucket.
         ignored = self._ignored_fields
-        if rule.src != packet.src.net or rule.dst != packet.dst.net:
-            return False
         if "link" not in ignored:
             if rule.src_link is not None and rule.src_link != packet.src.link:
                 return False
@@ -369,10 +381,10 @@ class Firewall:
         every screened packet leaves a journal entry.
         """
         action = None
-        for index, rule in enumerate(self._rules):
-            if self._rule_matches(rule, packet):
+        for index, rule in self._buckets.get((packet.src.net, packet.dst.net), ()):
+            if self._fields_match(rule, packet):
                 action = rule.action
-                if self._has_fault(FaultName.INVERT_RULE, index):
+                if index in self._inverted_rules:
                     action = (
                         RuleAction.DENY if action is RuleAction.ALLOW else RuleAction.ALLOW
                     )

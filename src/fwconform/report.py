@@ -373,6 +373,10 @@ def parse_report(text: str) -> Report:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ReportFormatError(f"not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ReportFormatError(
+            f"malformed report: expected a JSON object, got {json.dumps(data):.40}"
+        )
     try:
         return report_from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:

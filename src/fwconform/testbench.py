@@ -80,6 +80,8 @@ class Testbench:
     ):
         self.external = tuple(external)
         self.internal = tuple(internal)
+        # Reversed so that, as in a front-to-back scan, the first host of a name wins.
+        self._hosts = {h.name: h for h in reversed(self.external + self.internal)}
         self.fw = fw
         self.taps: dict[Segment, list[Packet]] = {
             Segment.EXTERNAL: [],
@@ -101,10 +103,10 @@ class Testbench:
             self._console_attempts[packet.payload_tag] = attempt_index
 
     def host(self, name: str) -> Host:
-        for h in self.external + self.internal:
-            if h.name == name:
-                return h
-        raise UnknownHost(f"no host named {name!r} on the bench")
+        try:
+            return self._hosts[name]
+        except KeyError:
+            raise UnknownHost(f"no host named {name!r} on the bench") from None
 
     def reset_taps(self) -> None:
         self.taps[Segment.EXTERNAL].clear()

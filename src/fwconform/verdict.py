@@ -9,6 +9,12 @@ The expected side is computed here, over the same probe traffic, with a
 deliberately separate first-match evaluator.  Keeping it apart from the
 product's own matcher is what lets a product defect show up as a set
 mismatch rather than cancelling out.
+
+For the same reason the verdict keeps its own pair index rather than
+borrowing the product's: it sorts the evidence rules once, buckets them
+by (src, dst) and runs the reference first-match over the probe's
+bucket, once per probe.  A product whose index misfiled or lost a rule
+then disagrees with this side instead of sharing the mistake.
 """
 
 from __future__ import annotations
@@ -100,7 +106,14 @@ def _level_tuple(packet: Packet, level: FilterLevel) -> tuple:
 
 def _first_match_action(rules: Sequence[FilterRule], packet: Packet) -> RuleAction | None:
     """Reference screening semantics: first matching rule decides, else None."""
-    for rule in sorted(rules, key=lambda r: r.order):
+    return _first_match_in_order(sorted(rules, key=lambda r: r.order), packet)
+
+
+def _first_match_in_order(
+    ordered: Iterable[FilterRule], packet: Packet
+) -> RuleAction | None:
+    """`_first_match_action` over rules already in `order` order."""
+    for rule in ordered:
         if rule.src != packet.src.net:
             continue
         if rule.dst != packet.dst.net:
@@ -117,6 +130,14 @@ def _first_match_action(rules: Sequence[FilterRule], packet: Packet) -> RuleActi
             continue
         return rule.action
     return None
+
+
+def _pair_index(rules: Sequence[FilterRule]) -> dict[tuple[str, str], list[FilterRule]]:
+    """Rules bucketed by their (sender, recipient) pair, each bucket in order."""
+    index: dict[tuple[str, str], list[FilterRule]] = {}
+    for rule in sorted(rules, key=lambda r: r.order):
+        index.setdefault(project(rule), []).append(rule)
+    return index
 
 
 def _journal_pairs(entries: Iterable[JournalEntry]) -> PairSet:
@@ -136,19 +157,17 @@ def evaluate_filter_criteria(evidence: FilterEvidence) -> tuple[CriterionResult,
     out_tags = {p.payload_tag for p in evidence.packet_out}
     blocked = tuple(p for p in evidence.packet_in if p.payload_tag not in out_tags)
 
+    by_pair = _pair_index(evidence.rules)
+    expected = [
+        (p, _first_match_in_order(by_pair.get(project(p), ()), p)) for p in evidence.packet_in
+    ]
     expect_forward = PairSet(
-        _level_tuple(p, level)
-        for p in evidence.packet_in
-        if _first_match_action(evidence.rules, p) is RuleAction.ALLOW
+        _level_tuple(p, level) for p, action in expected if action is RuleAction.ALLOW
     )
     expect_drop = PairSet(
-        _level_tuple(p, level)
-        for p in evidence.packet_in
-        if _first_match_action(evidence.rules, p) is not RuleAction.ALLOW
+        _level_tuple(p, level) for p, action in expected if action is not RuleAction.ALLOW
     )
-    default_denied = sum(
-        1 for p in evidence.packet_in if _first_match_action(evidence.rules, p) is None
-    )
+    default_denied = sum(1 for _, action in expected if action is None)
     actual_forward = PairSet(_level_tuple(p, level) for p in evidence.packet_out)
     actual_drop = PairSet(_level_tuple(p, level) for p in blocked)
 

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 import fwconform.cli as cli
 from fwconform.report import parse_report, strip_timestamps
 
@@ -110,6 +112,14 @@ def test_report_verb_rejects_non_reports(tmp_path, capsys):
     bad.write_text("{}")
     assert cli.main(["report", str(bad)]) == 2
     assert "unknown report schema" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[]", '"x"', "1", "null"])
+def test_report_verb_rejects_json_that_is_not_an_object(tmp_path, capsys, text):
+    bad = tmp_path / "x.json"
+    bad.write_text(text)
+    assert cli.main(["report", str(bad)]) == 2
+    assert "malformed report" in capsys.readouterr().err
 
 
 def test_unexpected_exceptions_exit_three(monkeypatch, capsys):

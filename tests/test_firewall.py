@@ -1,5 +1,9 @@
+import random
+from dataclasses import replace
+
 import pytest
 
+from _oracles import oracle_forwarded_tags
 from fwconform.errors import InapplicableFault, MechanismInactive, UnknownFile
 from fwconform.firewall import (
     AdminAccount,
@@ -229,6 +233,75 @@ def test_invert_rule_flips_the_matched_action():
     # journal reflects what the faulty product actually did
     assert all(e.event is JournalEvent.PASS_DENIED for e in bad.export_journal())
     assert fw.filter_packet(packet()) is Decision.FORWARDED
+
+
+def _flip(rule):
+    action = RuleAction.DENY if rule.action is RuleAction.ALLOW else RuleAction.ALLOW
+    return replace(rule, action=action)
+
+
+_WITHOUT_FIELD = {
+    "link": dict(src_link=None, dst_link=None),
+    "proto": dict(proto=None),
+    "ttl": dict(ttl_min=None, ttl_max=None),
+}
+
+
+def test_indexed_matcher_under_faults_agrees_with_the_oracle():
+    # Several rules share each (src, dst) pair and their orders are
+    # shuffled against list position, so a matcher that counted
+    # invert_rule's index within a bucket, or in list order, would
+    # flip the wrong rule.
+    rng = random.Random(41)
+    srcs = [A, "198.51.100.11"]
+    dsts = [B, C]
+    macs = ["02:00:5e:00:00:01", "02:00:5e:00:00:02", None]
+    for _ in range(300):
+        rules = [
+            FilterRule(
+                rng.choice((RuleAction.ALLOW, RuleAction.DENY)),
+                rng.choice(srcs),
+                rng.choice(dsts),
+                order=order,
+                src_link=rng.choice(macs),
+                dst_link=rng.choice(macs),
+                proto=rng.choice((None, 6, 17)),
+                ttl_min=rng.choice((None, 10, 64)),
+                ttl_max=rng.choice((None, 80, 255)),
+            )
+            for order in rng.sample(range(100), rng.randrange(2, 13))
+        ]
+        ordered = sorted(rules, key=lambda r: r.order)
+        first_pair = (ordered[0].src, ordered[0].dst)
+        seen, deep = set(), []
+        for k, rule in enumerate(ordered):
+            pair = (rule.src, rule.dst)
+            if pair in seen or pair != first_pair:
+                deep.append(k)
+            seen.add(pair)
+        k = rng.choice(deep)
+        packets = [
+            Packet(
+                Address(rng.choice(srcs), rng.choice(macs)),
+                Address(rng.choice(dsts), rng.choice(macs)),
+                proto=rng.choice((6, 17)),
+                ttl=rng.choice((5, 64, 200)),
+                payload_tag=tag,
+            )
+            for tag in range(20)
+        ]
+        flipped = ordered[:k] + [_flip(ordered[k])] + ordered[k + 1 :]
+        cases = [(Fault(FaultName.INVERT_RULE, k), flipped)]
+        cases += [
+            (Fault(FaultName.IGNORE_FIELD, name), [replace(r, **dropped) for r in rules])
+            for name, dropped in _WITHOUT_FIELD.items()
+        ]
+        for fault, demanded in cases:
+            fw = Firewall(rules=rules, faults=[fault])
+            forwarded = {
+                p.payload_tag for p in packets if fw.filter_packet(p) is Decision.FORWARDED
+            }
+            assert forwarded == oracle_forwarded_tags(demanded, packets), fault.spec_text()
 
 
 def test_invert_rule_index_must_exist():

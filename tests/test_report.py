@@ -78,6 +78,12 @@ def test_parse_rejects_garbage():
         parse_report(json.dumps({"schema": SCHEMA, "metadata": {}}))
 
 
+@pytest.mark.parametrize("text", ["[]", '"x"', "1", "null"])
+def test_parse_rejects_json_that_is_not_an_object(text):
+    with pytest.raises(ReportFormatError, match="malformed report"):
+        parse_report(text)
+
+
 def test_export_rejects_unknown_formats(report):
     with pytest.raises(ValueError):
         export_report(report, fmt="yaml")
