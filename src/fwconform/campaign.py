@@ -16,7 +16,7 @@ import hashlib
 from datetime import datetime, timezone
 from typing import Sequence
 
-from .errors import FwconformError
+from .errors import FwconformError, ScenarioValidationError
 from .firewall import Address, AuthMode, Fault, FilterRule
 from .formal import (
     ALL_REQUIREMENTS,
@@ -28,7 +28,7 @@ from .formal import (
 )
 from .optimizer import optimize_plan
 from .report import ProcedureRecord, Report, ReportMetadata
-from .scenario import Scenario, resolve_rules
+from .scenario import Scenario, fault_problems, resolve_rules
 from .testbench import (
     FilterLevel,
     Testbench,
@@ -79,9 +79,14 @@ def run_campaign(scenario: Scenario, faults: Sequence[Fault] | None = None) -> R
     """Execute the scenario and return the full report.
 
     `faults` replaces the scenario's own fault list when given, which is
-    how the command line injects defects without editing the file.
+    how the command line injects defects without editing the file.  A
+    fault that cannot apply to the scenario's product raises
+    ScenarioValidationError, as `validate_scenario` reports it.
     """
     active = tuple(faults) if faults is not None else scenario.faults
+    problems = fault_problems(scenario, active)
+    if problems:
+        raise ScenarioValidationError(problems)
     profile = scenario.profile()
     campaign = Campaign(profile)
     procedures = campaign.develop_all()

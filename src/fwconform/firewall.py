@@ -14,7 +14,7 @@ import ipaddress
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .errors import InapplicableFault, MechanismInactive, UnknownFile
 
@@ -72,10 +72,15 @@ class Address:
         if str(parsed) != self.net:
             raise ValueError(f"non-canonical network address: {self.net!r}")
         if self.link is not None:
-            low = self.link.lower()
-            if not _MAC_RE.fullmatch(low):
-                raise ValueError(f"bad link-layer address: {self.link!r}")
-            object.__setattr__(self, "link", low)
+            object.__setattr__(self, "link", link_address(self.link))
+
+
+def link_address(text: str) -> str:
+    """A colon-hex MAC address in lower case; ValueError when malformed."""
+    low = text.lower()
+    if not _MAC_RE.fullmatch(low):
+        raise ValueError(f"bad link-layer address: {text!r}")
+    return low
 
 
 @dataclass(frozen=True)
@@ -244,6 +249,26 @@ class Fault:
         if self.param is None:
             return self.name.value
         return f"{self.name.value}:{self.param}"
+
+
+def fault_problem(
+    fault: Fault, rule_count: int, file_ids: Collection[str], auth_mode: AuthMode | None
+) -> str | None:
+    """Why `fault` cannot apply to a product so configured, or None when it can."""
+    name, param = fault.name, fault.param
+    if name is FaultName.INVERT_RULE and not (isinstance(param, int) and 0 <= param < rule_count):
+        problem = f"rule index outside the {rule_count}-rule set"
+    elif name is FaultName.IGNORE_FIELD and param not in _IGNORABLE_FIELDS:
+        problem = f"cannot target {param!r}"
+    elif name is FaultName.SKIP_JOURNAL and param not in _SKIPPABLE_EVENTS:
+        problem = f"cannot target {param!r}"
+    elif name is FaultName.BLIND_INTEGRITY and param not in file_ids:
+        problem = f"unknown file {param!r}"
+    elif name is FaultName.LEAK_CREDENTIALS and auth_mode is not AuthMode.REMOTE:
+        problem = "needs remote sign-on mode"
+    else:
+        return None
+    return f"fault {fault.spec_text()}: {problem}"
 
 
 class Firewall:
@@ -521,21 +546,7 @@ def inject_fault(fw: Firewall, fault: Fault) -> Firewall:
 
     The copy is otherwise identical, including journal state and baselines.
     """
-    if fault.name is FaultName.INVERT_RULE:
-        if not isinstance(fault.param, int) or not 0 <= fault.param < len(fw.rules):
-            raise InapplicableFault(
-                f"invert_rule index {fault.param!r} outside the {len(fw.rules)}-rule set"
-            )
-    elif fault.name is FaultName.IGNORE_FIELD:
-        if fault.param not in _IGNORABLE_FIELDS:
-            raise InapplicableFault(f"ignore_field cannot target {fault.param!r}")
-    elif fault.name is FaultName.SKIP_JOURNAL:
-        if fault.param not in _SKIPPABLE_EVENTS:
-            raise InapplicableFault(f"skip_journal cannot target {fault.param!r}")
-    elif fault.name is FaultName.BLIND_INTEGRITY:
-        if fault.param not in fw.files:
-            raise InapplicableFault(f"blind_integrity names unknown file {fault.param!r}")
-    elif fault.name is FaultName.LEAK_CREDENTIALS:
-        if fw.auth_mode is not AuthMode.REMOTE:
-            raise InapplicableFault("leak_credentials needs remote sign-on mode")
+    problem = fault_problem(fault, len(fw.rules), fw.files, fw.auth_mode)
+    if problem:
+        raise InapplicableFault(problem)
     return fw.clone(extra_faults=(fault,))

@@ -92,7 +92,6 @@ class Capabilities:
     refused up front, before any traffic is generated.
     """
 
-    address_families: tuple[str, ...] = ("ipv4",)
     link_layer: bool = True
     filter_fields: tuple[str, ...] = ("proto", "ttl")
     auth_mode: AuthMode | None = AuthMode.REMOTE
@@ -134,8 +133,6 @@ def develop_procedure(profile: FirewallProfile, requirement: Requirement) -> Tes
     caps = profile.capabilities
     proc_id = f"{profile.name}/{requirement.id}"
     if requirement.kind in FILTER_KINDS:
-        if "ipv4" not in caps.address_families:
-            raise UnsupportedRequirement(f"{requirement.id}: product does not screen ipv4")
         if requirement.kind is RequirementKind.LINK_FILTER and not caps.link_layer:
             raise UnsupportedRequirement(
                 f"{requirement.id}: product cannot see link-layer addresses"

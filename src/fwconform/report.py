@@ -6,44 +6,35 @@ rebuilds the full Report value from it, so writing and re-reading a
 report loses nothing.  The wall-clock timestamp is the single
 nondeterministic field, and `strip_timestamps` blanks it in either
 format for byte-level comparisons.
+
+One codec maps Report values to JSON values and back, driven by the
+dataclasses' own fields and type hints: a dataclass is an object keyed
+by field name, an enum its value, `bytes` hex text, a tuple an array
+and `X | None` X or null.  Each type's encoder and decoder is worked out
+once and cached (`_codec`).  Decoding checks every value against its
+hint, JSON type and array length, so a malformed report raises
+ValueError or TypeError instead of building a Report that cannot be
+rendered.  The schema's own knowledge is data: the field renames
+(`_RENAMES`), the evidence tags (`_EVIDENCE_TAGS`) and the procedure
+record layout, which `_codec` flattens into one object.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
+from functools import cache
+from itertools import repeat
+from operator import attrgetter, itemgetter
+from types import UnionType
+from typing import Callable, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 from .errors import ReportFormatError
-from .firewall import (
-    AdminAccount,
-    Address,
-    AuthMode,
-    FilterRule,
-    JournalEntry,
-    JournalEvent,
-    Packet,
-    RuleAction,
-    Segment,
-)
-from .formal import (
-    CampaignVerdict,
-    CriterionResult,
-    ProcedureOutcome,
-    RequirementKind,
-    TestProcedure,
-)
-from .optimizer import CampaignPlan, ProcedureVariant
-from .testbench import (
-    AuthAttemptResult,
-    AuthEvidence,
-    CredentialFinding,
-    FileCheckRecord,
-    FilterEvidence,
-    FilterLevel,
-    IntegrityEvidence,
-)
+from .formal import CampaignVerdict, ProcedureOutcome, RequirementKind, TestProcedure
+from .optimizer import CampaignPlan
+from .testbench import AuthEvidence, FilterEvidence, IntegrityEvidence
 
 SCHEMA = "fw-conformance-report/1"
 
@@ -79,282 +70,165 @@ class Report:
     procedures: tuple[ProcedureRecord, ...]
 
 
-# -- value <-> dict -----------------------------------------------------------
+# -- the codec ------------------------------------------------------------------
 
-def _address_dict(a: Address) -> dict:
-    return {"net": a.net, "link": a.link}
-
-
-def _address_from(d: dict) -> Address:
-    return Address(d["net"], d["link"])
+_RENAMES = {"requirement_id": "requirement", "variant_id": "variant"}
+_EVIDENCE_TAGS = {"filter": FilterEvidence, "auth": AuthEvidence, "integrity": IntegrityEvidence}
+_TAG_OF = {cls: tag for tag, cls in _EVIDENCE_TAGS.items()}
+_JSON_NAMES = {str: "string", int: "integer", list: "array", dict: "object", type(None): "null"}
 
 
-def _packet_dict(p: Packet) -> dict:
-    return {
-        "src": _address_dict(p.src),
-        "dst": _address_dict(p.dst),
-        "proto": p.proto,
-        "ttl": p.ttl,
-        "payload_tag": p.payload_tag,
-        "payload": p.payload.hex(),
-        "ingress": p.ingress.value,
-    }
+class _Codec(NamedTuple):
+    encode: Callable | None  # None: the value is JSON as it stands
+    decode: Callable | None  # None: the JSON value is the value
+    json: frozenset  # the JSON types, as Python types, that a value may arrive as
 
 
-def _packet_from(d: dict) -> Packet:
-    return Packet(
-        src=_address_from(d["src"]),
-        dst=_address_from(d["dst"]),
-        proto=d["proto"],
-        ttl=d["ttl"],
-        payload_tag=d["payload_tag"],
-        payload=bytes.fromhex(d["payload"]),
-        ingress=Segment(d["ingress"]),
-    )
+def _show(value) -> str:
+    return f"{json.dumps(value):.40}"
 
 
-def _rule_dict(r: FilterRule) -> dict:
-    return {
-        "action": r.action.value,
-        "src": r.src,
-        "dst": r.dst,
-        "src_link": r.src_link,
-        "dst_link": r.dst_link,
-        "proto": r.proto,
-        "ttl_min": r.ttl_min,
-        "ttl_max": r.ttl_max,
-        "order": r.order,
-    }
+def _mismatch(where, accepted, values) -> TypeError:
+    """The error for the first value whose JSON type its position does not accept."""
+    name, ok, value = next(m for m in zip(where, accepted, values) if type(m[2]) not in m[1])
+    expected = " or ".join(sorted(_JSON_NAMES[t] for t in ok))
+    return TypeError(f"{name}: expected {expected}, got {_show(value)}")
 
 
-def _rule_from(d: dict) -> FilterRule:
-    return FilterRule(
-        action=RuleAction(d["action"]),
-        src=d["src"],
-        dst=d["dst"],
-        src_link=d["src_link"],
-        dst_link=d["dst_link"],
-        proto=d["proto"],
-        ttl_min=d["ttl_min"],
-        ttl_max=d["ttl_max"],
-        order=d["order"],
-    )
+@cache
+def _codec(tp) -> _Codec:
+    """How to encode and decode values of type `tp`, worked out once per type."""
+    # A decoder is only ever handed a value whose JSON type its container has
+    # checked against `json` before decoding any member; so str and int decode as is.
+    if tp is str or tp is int:
+        return _Codec(None, None, frozenset({tp}))
+    if tp is bytes:
+        return _Codec(bytes.hex, bytes.fromhex, frozenset({str}))
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        members = {m.value: m for m in tp}
 
+        def decode_enum(value):
+            try:
+                return members[value]
+            except KeyError:
+                raise ValueError(f"not a {tp.__name__} value: {_show(value)}") from None
 
-def _entry_dict(e: JournalEntry) -> dict:
-    return {"seq": e.seq, "event": e.event.value, "subject": list(e.subject)}
+        return _Codec(attrgetter("value"), decode_enum, frozenset(map(type, members)))
+    if tp is ProcedureRecord:
+        # One flat object: the procedure's and the outcome's fields sit beside
+        # the record's own, and the outcome's procedure_id is the procedure's id.
+        nested = _dataclass_codec(tp)
 
+        def encode_record(rec):
+            flat = nested.encode(rec)
+            outcome = flat.pop("outcome")
+            flat.update(flat.pop("procedure"), passed=outcome["passed"])
+            flat["criteria"] = outcome["criteria"]
+            return flat
 
-def _entry_from(d: dict) -> JournalEntry:
-    return JournalEntry(d["seq"], JournalEvent(d["event"]), tuple(d["subject"]))
+        def decode_record(data):
+            outcome = {**data, "procedure_id": data["id"]}
+            return nested.decode({**data, "procedure": data, "outcome": outcome})
 
+        return _Codec(encode_record, decode_record, frozenset({dict}))
+    if tp == Evidence:
+        def encode_evidence(evidence):
+            return {"type": _TAG_OF[type(evidence)], **_codec(type(evidence)).encode(evidence)}
 
-def _evidence_dict(ev: Evidence) -> dict:
-    if isinstance(ev, FilterEvidence):
-        return {
-            "type": "filter",
-            "level": ev.level.value,
-            "rules": [_rule_dict(r) for r in ev.rules],
-            "packet_in": [_packet_dict(p) for p in ev.packet_in],
-            "packet_out": [_packet_dict(p) for p in ev.packet_out],
-            "journal_allowed": [_entry_dict(e) for e in ev.journal_allowed],
-            "journal_denied": [_entry_dict(e) for e in ev.journal_denied],
-        }
-    if isinstance(ev, AuthEvidence):
-        return {
-            "type": "auth",
-            "mode": ev.mode.value,
-            "accounts": [
-                {"identifier": a.identifier, "password": a.password} for a in ev.accounts
-            ],
-            "attempts": [
-                {"identifier": a.identifier, "password": a.password, "granted": a.granted}
-                for a in ev.attempts
-            ],
-            "probes": [list(p) for p in ev.probes],
-            "captures": [_packet_dict(p) for p in ev.captures],
-            "journal": [_entry_dict(e) for e in ev.journal],
-            "findings": [
-                {
-                    "attempt_index": f.attempt_index,
-                    "account_id": f.account_id,
-                    "piece": f.piece,
-                    "payload_tag": f.payload_tag,
-                }
-                for f in ev.findings
-            ],
-        }
-    return {
-        "type": "integrity",
-        "files": [
-            {
-                "file_id": r.file_id,
-                "baseline_digest": r.baseline_digest,
-                "final_digest": r.final_digest,
-                "modified": r.modified,
-                "detected": r.detected,
-            }
-            for r in ev.files
-        ],
-        "journal": [_entry_dict(e) for e in ev.journal],
-    }
+        def decode_evidence(data):
+            if data["type"] not in _EVIDENCE_TAGS:
+                raise ValueError(f"unknown evidence type {_show(data['type'])}")
+            return _codec(_EVIDENCE_TAGS[data["type"]]).decode(data)
 
-
-def _evidence_from(d: dict) -> Evidence:
-    if d["type"] == "filter":
-        return FilterEvidence(
-            level=FilterLevel(d["level"]),
-            rules=tuple(_rule_from(r) for r in d["rules"]),
-            packet_in=tuple(_packet_from(p) for p in d["packet_in"]),
-            packet_out=tuple(_packet_from(p) for p in d["packet_out"]),
-            journal_allowed=tuple(_entry_from(e) for e in d["journal_allowed"]),
-            journal_denied=tuple(_entry_from(e) for e in d["journal_denied"]),
+        return _Codec(encode_evidence, decode_evidence, frozenset({dict}))
+    args = get_args(tp)
+    if get_origin(tp) in (Union, UnionType):  # X | None
+        (inner,) = [a for a in args if a is not type(None)]
+        enc, dec, json_types = _codec(inner)
+        return _Codec(
+            enc and (lambda v: None if v is None else enc(v)),
+            dec and (lambda v: None if v is None else dec(v)),
+            json_types | {type(None)},
         )
-    if d["type"] == "auth":
-        return AuthEvidence(
-            mode=AuthMode(d["mode"]),
-            accounts=tuple(
-                AdminAccount(a["identifier"], a["password"]) for a in d["accounts"]
-            ),
-            attempts=tuple(
-                AuthAttemptResult(a["identifier"], a["password"], a["granted"])
-                for a in d["attempts"]
-            ),
-            probes=tuple(tuple(p) for p in d["probes"]),
-            captures=tuple(_packet_from(p) for p in d["captures"]),
-            journal=tuple(_entry_from(e) for e in d["journal"]),
-            findings=tuple(
-                CredentialFinding(
-                    f["attempt_index"], f["account_id"], f["piece"], f["payload_tag"]
-                )
-                for f in d["findings"]
-            ),
-        )
-    if d["type"] == "integrity":
-        return IntegrityEvidence(
-            files=tuple(
-                FileCheckRecord(
-                    r["file_id"],
-                    r["baseline_digest"],
-                    r["final_digest"],
-                    r["modified"],
-                    r["detected"],
-                )
-                for r in d["files"]
-            ),
-            journal=tuple(_entry_from(e) for e in d["journal"]),
-        )
-    raise ValueError(f"unknown evidence type {d['type']!r}")
+    if get_origin(tp) is tuple and args[-1] is Ellipsis:
+        enc, dec, json_types = _codec(args[0])
+
+        def decode_array(value):
+            for item in value:
+                if type(item) not in json_types:
+                    raise _mismatch(range(len(value)), repeat(json_types), value)
+            return tuple(value) if dec is None else tuple(map(dec, value))
+
+        encode = list if enc is None else lambda v: list(map(enc, v))
+        return _Codec(encode, decode_array, frozenset({list}))
+    if get_origin(tp) is tuple:  # a fixed-length row
+        items = [_codec(a) for a in args]
+        decode = _fixed_decoder(lambda *row: row, range(len(items)), items)
+        encoders = [c.encode for c in items]
+
+        def encode_row(row):
+            return [x if enc is None else enc(x) for enc, x in zip(encoders, row)]
+
+        def decode_row(value):
+            if len(value) != len(items):
+                raise ValueError(f"expected an array of {len(items)}, got {_show(value)}")
+            return decode(value)
+
+        return _Codec(encode_row if any(encoders) else list, decode_row, frozenset({list}))
+    if is_dataclass(tp):
+        return _dataclass_codec(tp)
+    raise TypeError(f"no report codec for {tp!r}")
+
+
+def _fixed_decoder(build: Callable, keys, items: list[_Codec]) -> Callable:
+    """Decode the members at `keys`, one codec each, and `build` the value from them."""
+    members = itemgetter(*keys)  # a tuple: every report object and row has two or more
+    accepted = [c.json for c in items]
+    checks = list(enumerate(accepted))
+    decoders = [(i, c.decode) for i, c in enumerate(items) if c.decode is not None]
+
+    # Plain loops rather than map(): they allocate nothing, and temporaries per
+    # member would trigger garbage-collector passes over the growing report.
+    def decode(data):
+        values = members(data)
+        for i, ok in checks:
+            if type(values[i]) not in ok:
+                raise _mismatch(keys, accepted, values)
+        if decoders:
+            values = list(values)
+            for i, dec in decoders:
+                values[i] = dec(values[i])
+        return build(*values)
+
+    return decode
+
+
+def _dataclass_codec(tp) -> _Codec:
+    """An object with one member per field, keyed by the field name or its rename."""
+    hints = get_type_hints(tp)
+    names = [f.name for f in fields(tp)]
+    keys = [_RENAMES.get(n, n) for n in names]
+    items = [_codec(hints[n]) for n in names]
+    encoders = list(zip(names, keys, [c.encode for c in items]))
+
+    def encode_object(obj):
+        out = {}
+        for name, key, enc in encoders:
+            value = getattr(obj, name)
+            out[key] = value if enc is None else enc(value)
+        return out
+
+    return _Codec(encode_object, _fixed_decoder(tp, keys, items), frozenset({dict}))
 
 
 def report_to_dict(report: Report) -> dict:
-    return {
-        "schema": SCHEMA,
-        "metadata": {
-            "tool": report.metadata.tool,
-            "version": report.metadata.version,
-            "seed": report.metadata.seed,
-            "profile": report.metadata.profile,
-            "created_at": report.metadata.created_at,
-            "faults": list(report.metadata.faults),
-        },
-        "campaign": {
-            "n": report.campaign.n,
-            "conform": report.campaign.conform,
-            "pairs": [list(p) for p in report.campaign.pairs],
-        },
-        "plan": {
-            "budget": report.plan.budget,
-            "total_time": report.plan.total_time,
-            "total_cost": report.plan.total_cost,
-            "chosen": [
-                {
-                    "requirement": v.requirement_id,
-                    "variant": v.variant_id,
-                    "time": v.time,
-                    "cost": v.cost,
-                }
-                for v in report.plan.chosen
-            ],
-        },
-        "procedures": [
-            {
-                "id": rec.procedure.id,
-                "requirement": rec.procedure.requirement_id,
-                "kind": rec.kind.value,
-                "claim": rec.claim,
-                "objective": rec.procedure.objective,
-                "steps": list(rec.procedure.steps),
-                "expected": rec.procedure.expected,
-                "passed": rec.outcome.passed,
-                "criteria": [
-                    {"label": c.label, "bit": c.bit, "detail": c.detail}
-                    for c in rec.outcome.criteria
-                ],
-                "evidence": _evidence_dict(rec.evidence),
-            }
-            for rec in report.procedures
-        ],
-    }
+    return {"schema": SCHEMA, **_codec(Report).encode(report)}
 
 
 def report_from_dict(data: dict) -> Report:
     if data.get("schema") != SCHEMA:
         raise ValueError(f"unknown report schema {data.get('schema')!r}")
-    meta = data["metadata"]
-    metadata = ReportMetadata(
-        tool=meta["tool"],
-        version=meta["version"],
-        seed=meta["seed"],
-        profile=meta["profile"],
-        created_at=meta["created_at"],
-        faults=tuple(meta["faults"]),
-    )
-    camp = data["campaign"]
-    campaign = CampaignVerdict(
-        pairs=tuple((p[0], p[1], p[2]) for p in camp["pairs"]),
-        n=camp["n"],
-        conform=camp["conform"],
-    )
-    plan_data = data["plan"]
-    plan = CampaignPlan(
-        chosen=tuple(
-            ProcedureVariant(v["requirement"], v["variant"], v["time"], v["cost"])
-            for v in plan_data["chosen"]
-        ),
-        total_time=plan_data["total_time"],
-        total_cost=plan_data["total_cost"],
-        budget=plan_data["budget"],
-    )
-    records = []
-    for rec in data["procedures"]:
-        procedure = TestProcedure(
-            id=rec["id"],
-            requirement_id=rec["requirement"],
-            objective=rec["objective"],
-            steps=tuple(rec["steps"]),
-            expected=rec["expected"],
-        )
-        outcome = ProcedureOutcome(
-            procedure_id=rec["id"],
-            requirement_id=rec["requirement"],
-            passed=rec["passed"],
-            criteria=tuple(
-                CriterionResult(c["label"], c["bit"], c["detail"]) for c in rec["criteria"]
-            ),
-        )
-        records.append(
-            ProcedureRecord(
-                procedure=procedure,
-                kind=RequirementKind(rec["kind"]),
-                claim=rec["claim"],
-                outcome=outcome,
-                evidence=_evidence_from(rec["evidence"]),
-            )
-        )
-    return Report(
-        metadata=metadata, campaign=campaign, plan=plan, procedures=tuple(records)
-    )
+    return _codec(Report).decode(data)
 
 
 # -- rendering -----------------------------------------------------------------
@@ -374,9 +248,7 @@ def parse_report(text: str) -> Report:
     except json.JSONDecodeError as exc:
         raise ReportFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise ReportFormatError(
-            f"malformed report: expected a JSON object, got {json.dumps(data):.40}"
-        )
+        raise ReportFormatError(f"malformed report: expected a JSON object, got {_show(data)}")
     try:
         return report_from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:

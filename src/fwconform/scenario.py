@@ -25,7 +25,6 @@ the first.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -34,12 +33,13 @@ from .firewall import (
     AdminAccount,
     Address,
     AuthMode,
-    FaultName,
     Fault,
     FileArtifact,
     FilterRule,
     Mutation,
     RuleAction,
+    fault_problem,
+    link_address,
 )
 from .formal import ALL_REQUIREMENTS, Capabilities, FirewallProfile, RequirementKind
 from .optimizer import ProcedureVariant
@@ -57,7 +57,6 @@ _SECTIONS = (
     "variants",
     "faults",
 )
-_MAC_RE = re.compile(r"([0-9a-fA-F]{2}:){5}[0-9a-fA-F]{2}")
 
 
 @dataclass(frozen=True)
@@ -244,8 +243,8 @@ class _Parser:
                 action=RuleAction(tokens[0]),
                 src=tokens[1],  # host names; swapped for addresses after topology checks
                 dst=tokens[2],
-                src_link=_mac(options.get("src-mac")),
-                dst_link=_mac(options.get("dst-mac")),
+                src_link=link_address(options["src-mac"]) if "src-mac" in options else None,
+                dst_link=link_address(options["dst-mac"]) if "dst-mac" in options else None,
                 proto=_int_in(options["proto"], 0, 255, "proto") if "proto" in options else None,
                 ttl_min=ttl_min,
                 ttl_max=ttl_max,
@@ -264,8 +263,8 @@ class _Parser:
                 dst=tokens[2],
                 proto=_int_in(options["proto"], 0, 255, "proto") if "proto" in options else None,
                 ttl=_int_in(options["ttl"], 0, 255, "ttl") if "ttl" in options else None,
-                src_link=_mac(options.get("src-mac")),
-                dst_link=_mac(options.get("dst-mac")),
+                src_link=link_address(options["src-mac"]) if "src-mac" in options else None,
+                dst_link=link_address(options["dst-mac"]) if "dst-mac" in options else None,
             )
         )
 
@@ -366,14 +365,6 @@ def _on_off(token: str) -> bool:
     if token not in ("on", "off"):
         raise ValueError(f"expected on or off: {token!r}")
     return token == "on"
-
-
-def _mac(token: str | None) -> str | None:
-    if token is None:
-        return None
-    if not _MAC_RE.fullmatch(token):
-        raise ValueError(f"bad link-layer address: {token!r}")
-    return token.lower()
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -506,19 +497,15 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     if stray:
         say(f"variant(s) for unclaimed requirement(s): {', '.join(stray)}")
 
-    for fault in scenario.faults:
-        if fault.name is FaultName.INVERT_RULE and not (
-            isinstance(fault.param, int) and 0 <= fault.param < len(scenario.rules)
-        ):
-            say(
-                f"fault {fault.spec_text()}: rule index outside the"
-                f" {len(scenario.rules)}-rule set"
-            )
-        elif fault.name is FaultName.BLIND_INTEGRITY and fault.param not in contents:
-            say(f"fault {fault.spec_text()}: unknown file {fault.param!r}")
-        elif fault.name is FaultName.LEAK_CREDENTIALS and scenario.auth_mode is not AuthMode.REMOTE:
-            say(f"fault {fault.spec_text()}: needs remote sign-on mode")
+    problems += fault_problems(scenario, scenario.faults)
     return problems
+
+
+def fault_problems(scenario: Scenario, faults: Sequence[Fault]) -> list[str]:
+    """Why each of `faults` cannot apply to the scenario's product."""
+    file_ids = {f.file_id for f in scenario.files}
+    found = (fault_problem(f, len(scenario.rules), file_ids, scenario.auth_mode) for f in faults)
+    return [p for p in found if p]
 
 
 def check_scenario(scenario: Scenario) -> None:

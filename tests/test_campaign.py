@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from fwconform.campaign import child_seed, run_campaign
-from fwconform.errors import InapplicableRule
+from fwconform.errors import InapplicableRule, ScenarioValidationError
+from fwconform.firewall import Fault
 from fwconform.scenario import load_scenario, parse_scenario
 
 REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference.scn"
@@ -72,3 +73,21 @@ def test_runtime_failures_name_the_procedure():
     )
     with pytest.raises(InapplicableRule, match=r"procedure demo/r1-fields: "):
         run_campaign(scenario)
+
+
+@pytest.mark.parametrize(
+    "scenario_text, spec, message",
+    [
+        (REFERENCE.read_text(), "invert_rule:99", "rule index outside the 4-rule set"),
+        (REFERENCE.read_text(), "blind_integrity:ghost", "unknown file 'ghost'"),
+        (MINIMAL.replace("claims r1", "claims r1\nauth local"), "leak_credentials",
+         "needs remote sign-on mode"),
+    ],
+    ids=["invert_rule", "blind_integrity", "leak_credentials"],
+)
+def test_run_campaign_refuses_an_inapplicable_fault(scenario_text, spec, message):
+    scenario = parse_scenario(scenario_text)
+    with pytest.raises(ScenarioValidationError, match=f"fault {spec}: {message}"):
+        run_campaign(scenario, faults=[Fault.parse(spec)])
+    with pytest.raises(ScenarioValidationError, match=f"fault {spec}: {message}"):
+        run_campaign(replace(scenario, faults=(Fault.parse(spec),)))

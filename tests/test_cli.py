@@ -125,6 +125,18 @@ def test_report_verb_rejects_json_that_is_not_an_object(tmp_path, capsys, text):
     assert "malformed report" in capsys.readouterr().err
 
 
+def test_report_verb_rejects_a_short_row(tmp_path, capsys):
+    golden = REPO_ROOT / "tests" / "data" / "reference-leak-credentials.json"
+    data = json.loads(golden.read_text())
+    data["campaign"]["pairs"] = [[1]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert cli.main(["report", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed report" in err
+    assert "internal error" not in err
+
+
 def test_unexpected_exceptions_exit_three(monkeypatch, capsys):
     def boom(scenario, faults=None):
         raise RuntimeError("wires crossed")

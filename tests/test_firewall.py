@@ -310,6 +310,24 @@ def test_invert_rule_index_must_exist():
         inject_fault(fw, Fault(FaultName.INVERT_RULE, 1))
 
 
+@pytest.mark.parametrize(
+    "fault, problem",
+    [
+        (Fault(FaultName.INVERT_RULE, 1), "invert_rule:1: rule index outside the 1-rule set"),
+        (Fault(FaultName.INVERT_RULE, "0"), "invert_rule:0: rule index outside the 1-rule set"),
+        (Fault(FaultName.IGNORE_FIELD, "payload"), "ignore_field:payload: cannot target 'payload'"),
+        (Fault(FaultName.SKIP_JOURNAL, "auth"), "skip_journal:auth: cannot target 'auth'"),
+        (Fault(FaultName.BLIND_INTEGRITY, "ghost"), "blind_integrity:ghost: unknown file 'ghost'"),
+        (Fault(FaultName.LEAK_CREDENTIALS), "leak_credentials: needs remote sign-on mode"),
+    ],
+)
+def test_inject_fault_says_why_a_fault_cannot_apply(fault, problem):
+    fw = Firewall(rules=[allow(A, B, 0)], files=files(), auth_mode=AuthMode.LOCAL)
+    with pytest.raises(InapplicableFault) as caught:
+        inject_fault(fw, fault)
+    assert str(caught.value) == f"fault {problem}"
+
+
 def test_ignore_field_widens_the_match():
     fw = Firewall(rules=[allow(A, B, 0, proto=6)])
     bad = inject_fault(fw, Fault(FaultName.IGNORE_FIELD, "proto"))

@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fwconform.campaign import run_campaign
 from fwconform.errors import ReportFormatError
@@ -18,6 +20,10 @@ from fwconform.report import (
 from fwconform.scenario import load_scenario
 
 REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference.scn"
+# The reference scenario run under leak_credentials, timestamp stripped: all
+# three evidence kinds, credential findings and a fault list in one report.
+GOLDEN = Path(__file__).resolve().parent / "data" / "reference-leak-credentials.json"
+GOLDEN_TEXT = GOLDEN.read_text(encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +66,17 @@ def test_round_trip_preserves_faulty_runs(leaky_report):
     assert clone.campaign.conform == 0
 
 
+def test_machine_report_matches_the_committed_reference(leaky_report):
+    # Pins every key name and value layout: a codec that renamed a key the
+    # same way on both sides would still pass the round-trip tests.
+    data = json.loads(GOLDEN_TEXT)
+    assert {p["evidence"]["type"] for p in data["procedures"]} == {"filter", "auth", "integrity"}
+    assert any(p["evidence"].get("findings") for p in data["procedures"])
+    assert data["metadata"]["faults"] == ["leak_credentials"]
+    assert strip_timestamps(export_report(leaky_report)) == GOLDEN_TEXT
+    assert export_report(parse_report(GOLDEN_TEXT)) == GOLDEN_TEXT
+
+
 def test_reruns_differ_only_in_the_timestamp(scenario):
     a = export_report(run_campaign(scenario))
     b = export_report(run_campaign(scenario))
@@ -82,6 +99,78 @@ def test_parse_rejects_garbage():
 def test_parse_rejects_json_that_is_not_an_object(text):
     with pytest.raises(ReportFormatError, match="malformed report"):
         parse_report(text)
+
+
+def _golden_with(path, value) -> str:
+    """The golden report with the value at `path` replaced, as JSON text."""
+    data = json.loads(GOLDEN_TEXT)
+    if not path:
+        return json.dumps(value)
+    parent = data
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("campaign", "pairs", 0), [1]),
+        (("campaign", "pairs", 0), ["r1", 1, 1, 1]),
+        (("campaign", "pairs", 0), ["r1", None, 1]),
+        (("campaign", "pairs"), "r1"),
+        (("campaign", "pairs"), {"r1": [1, 1]}),
+        (("campaign", "conform"), True),
+        (("metadata", "seed"), "42"),
+        (("metadata", "seed"), 42.0),
+        (("metadata", "tool"), 7),
+        (("metadata", "faults"), "leak_credentials"),
+        (("plan", "budget"), "8"),
+        (("procedures", 3, "evidence", "probes", 0), ["before", "203.0.113.20"]),
+        (("procedures", 3, "evidence", "probes", 0), "before"),
+        (("procedures", 0, "evidence", "packet_in", 0, "src"), ["198.51.100.10", None]),
+        (("procedures", 0, "evidence", "packet_in", 0, "payload"), 7),
+        (("procedures", 0, "evidence", "rules", 0, "proto"), "6"),
+        (("procedures", 0, "evidence", "type"), "firewall"),
+        (("procedures", 0, "evidence", "type"), ["filter"]),
+        (("procedures", 0, "steps"), None),
+        (("procedures", 0, "criteria", 0, "bit"), None),
+    ],
+)
+def test_parse_rejects_values_of_the_wrong_type_or_length(path, value):
+    with pytest.raises(ReportFormatError, match="malformed report"):
+        parse_report(_golden_with(path, value))
+
+
+def _paths(value, prefix=()):
+    """Every path into a JSON value, keeping up to three items per list."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value[:3]):
+            yield from _paths(item, prefix + (index,))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(list(_paths(json.loads(GOLDEN_TEXT)))), value=_JSON)
+def test_parse_either_rejects_or_returns_a_renderable_report(path, value):
+    try:
+        report = parse_report(_golden_with(path, value))
+    except ReportFormatError:
+        return
+    export_report(report, "machine")
+    export_report(report, "human")
 
 
 def test_export_rejects_unknown_formats(report):

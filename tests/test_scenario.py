@@ -109,6 +109,19 @@ def test_macs_are_normalized_to_lowercase():
     assert sc.external[0].address.link == "02:00:5e:10:00:aa"
 
 
+def test_rule_and_traffic_macs_use_the_address_check():
+    text = MINIMAL.replace("probe target", "probe target src-mac=02:00:5E:10:00:AA")
+    assert parse_scenario(text).rules[0].src_link == "02:00:5e:10:00:aa"
+    bad = text + "\n[traffic]\npacket probe target dst-mac=02:00:5e:10:00\n"
+    bad = bad.replace("src-mac=02:00:5E:10:00:AA", "src-mac=zz:00:5e:10:00:aa")
+    with pytest.raises(ScenarioParseError) as caught:
+        parse_scenario(bad)
+    assert caught.value.problems == [
+        "line 10: bad link-layer address: 'zz:00:5e:10:00:aa'",
+        "line 13: bad link-layer address: '02:00:5e:10:00'",
+    ]
+
+
 def test_single_ttl_value_pins_both_bounds():
     sc = parse_scenario(MINIMAL.replace("allow probe target", "allow probe target ttl=64"))
     assert (sc.rules[0].ttl_min, sc.rules[0].ttl_max) == (64, 64)
