@@ -26,7 +26,6 @@ from .firewall import (
     Packet,
     RuleAction,
     Segment,
-    inject_fault,
 )
 from .formal import (
     ALL_REQUIREMENTS,
@@ -40,11 +39,10 @@ from .formal import (
     RequirementKind,
     TestProcedure,
     aggregate_verdict,
-    check_bijectivity,
     claim_bit,
     develop_procedure,
 )
-from .optimizer import CampaignPlan, ProcedureVariant, brute_force_plan, optimize_plan
+from .optimizer import CampaignPlan, ProcedureVariant, optimize_plan
 from .report import Report, export_report, parse_report, strip_timestamps
 from .scenario import (
     Scenario,

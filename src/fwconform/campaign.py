@@ -30,7 +30,7 @@ from .optimizer import optimize_plan
 from .report import ProcedureRecord, Report, ReportMetadata
 from .scenario import Scenario, fault_problems, resolve_rules
 from .testbench import (
-    FilterLevel,
+    FILTER_LEVELS,
     Testbench,
     build_testbench,
     run_auth_procedure,
@@ -42,13 +42,6 @@ from .verdict import (
     evaluate_filter_criteria,
     evaluate_integrity_criteria,
 )
-
-_LEVEL_FOR = {
-    RequirementKind.NET_FILTER: FilterLevel.NETWORK,
-    RequirementKind.LINK_FILTER: FilterLevel.LINK,
-    RequirementKind.FIELD_FILTER: FilterLevel.FIELDS,
-}
-
 
 def child_seed(seed: int, requirement_id: str) -> int:
     """Per-requirement seed, stable across runs and platforms."""
@@ -99,9 +92,9 @@ def run_campaign(scenario: Scenario, faults: Sequence[Fault] | None = None) -> R
         procedure = procedures[req.id]
         try:
             bench = _fresh_bench(scenario, req.id, active, rules)
-            if req.kind in _LEVEL_FOR:
+            if req.kind in FILTER_LEVELS:
                 evidence = run_filter_procedure(
-                    bench, rules, _LEVEL_FOR[req.kind], scenario.traffic
+                    bench, rules, FILTER_LEVELS[req.kind], scenario.traffic
                 )
                 criteria = evaluate_filter_criteria(evidence)
             elif req.kind is RequirementKind.ADMIN_AUTH:

@@ -18,7 +18,7 @@ from .errors import FwconformError, ScenarioError, ScenarioValidationError
 from .firewall import Fault
 from .optimizer import optimize_plan
 from .report import export_report, parse_report
-from .scenario import check_scenario, load_scenario, parse_scenario, validate_scenario
+from .scenario import load_scenario, parse_scenario, validate_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -99,14 +99,11 @@ def _cmd_run(args) -> int:
         if args.seed < 0:
             raise ScenarioValidationError(["seed must be nonnegative"])
         scenario = replace(scenario, seed=args.seed)
-    if args.inject:
-        try:
-            faults = tuple(Fault.parse(spec) for spec in args.inject)
-        except ValueError as exc:
-            raise ScenarioValidationError([str(exc)]) from None
-        scenario = replace(scenario, faults=faults)
-        check_scenario(scenario)
-    report = run_campaign(scenario)
+    try:
+        faults = [Fault.parse(spec) for spec in args.inject] if args.inject else None
+    except ValueError as exc:
+        raise ScenarioValidationError([str(exc)]) from None
+    report = run_campaign(scenario, faults)
     rendered = export_report(report, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -23,10 +23,6 @@ class MechanismInactive(FwconformError):
     """An operation needs a subsystem that was never activated."""
 
 
-class InapplicableFault(FwconformError):
-    """A fault variant cannot be applied to this configuration."""
-
-
 class OverlappingSegments(FwconformError):
     """The external and internal segments share a network address."""
 
@@ -53,10 +49,6 @@ class IncompleteEvidence(FwconformError):
 
 class Infeasible(FwconformError):
     """No full variant assignment fits inside the expense budget."""
-
-
-class TooLarge(FwconformError):
-    """The instance exceeds the exhaustive-enumeration bound."""
 
 
 class ScenarioError(FwconformError):

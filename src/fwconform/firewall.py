@@ -12,11 +12,11 @@ from __future__ import annotations
 import hashlib
 import ipaddress
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
-from .errors import InapplicableFault, MechanismInactive, UnknownFile
+from .errors import MechanismInactive, UnknownFile
 
 _MAC_RE = re.compile(r"[0-9a-f]{2}(:[0-9a-f]{2}){5}")
 
@@ -123,10 +123,6 @@ class FilterRule:
     @property
     def constrains_fields(self) -> bool:
         return self.proto is not None or self.ttl_min is not None or self.ttl_max is not None
-
-    @property
-    def constrains_link(self) -> bool:
-        return self.src_link is not None or self.dst_link is not None
 
 
 @dataclass(frozen=True)
@@ -513,24 +509,6 @@ class Firewall:
         """All entries in sequence order; the journal itself is untouched."""
         return tuple(self._journal)
 
-    def clone(self, extra_faults: Iterable[Fault] = ()) -> "Firewall":
-        copy = Firewall(
-            rules=self._rules,
-            accounts=self._accounts,
-            files=[
-                FileArtifact(a.file_id, bytes(a.content), a.baseline_digest)
-                for a in self._files.values()
-            ],
-            auth_mode=self.auth_mode,
-            management=self.management,
-            faults=tuple(self.faults) + tuple(extra_faults),
-        )
-        copy._baselines_recorded = self._baselines_recorded
-        copy._journal = list(self._journal)
-        copy._seq = self._seq
-        copy._auth_attempt_count = self._auth_attempt_count
-        return copy
-
 
 def split_filter_journal(
     entries: Iterable[JournalEntry],
@@ -539,14 +517,3 @@ def split_filter_journal(
     allowed = tuple(e for e in entries if e.event is JournalEvent.PASS_ALLOWED)
     denied = tuple(e for e in entries if e.event is JournalEvent.PASS_DENIED)
     return allowed, denied
-
-
-def inject_fault(fw: Firewall, fault: Fault) -> Firewall:
-    """Return a copy of `fw` degraded by exactly one fault variant.
-
-    The copy is otherwise identical, including journal state and baselines.
-    """
-    problem = fault_problem(fault, len(fw.rules), fw.files, fw.auth_mode)
-    if problem:
-        raise InapplicableFault(problem)
-    return fw.clone(extra_faults=(fault,))

@@ -1,8 +1,9 @@
 """Formal skeleton of a conformance campaign.
 
 A vendor profile claims some subset of the requirement catalog.  Each
-catalog requirement is developed into exactly one test procedure, the
-assignment is checked for one-to-one alignment, and the final verdict
+claimed requirement is developed into exactly one test procedure, unless
+the product lacks the capability it needs (`capability_problem`, which
+`validate_scenario` reports with the same text).  The final verdict
 aggregates one (claimed, upheld) bit pair per requirement: the product
 conforms exactly when every claimed requirement was upheld by a valid
 procedure run.
@@ -89,7 +90,8 @@ class Capabilities:
     """What the product under test is physically able to do.
 
     Developing a procedure for a requirement outside these capabilities is
-    refused up front, before any traffic is generated.
+    refused up front, before any traffic is generated.  The fields mirror
+    the scenario's profile directives, whose names the refusals use.
     """
 
     link_layer: bool = True
@@ -128,21 +130,28 @@ class TestProcedure:
     expected: str
 
 
+def capability_problem(kind: RequirementKind, caps: Capabilities) -> str | None:
+    """Why a product with `caps` cannot be tested for a `kind` requirement, or None."""
+    if kind is RequirementKind.LINK_FILTER and not caps.link_layer:
+        return "link-layer is off"
+    missing = [f for f in ("proto", "ttl") if f not in caps.filter_fields]
+    if kind is RequirementKind.FIELD_FILTER and missing:
+        return f"filter-fields lacks {', '.join(missing)}"
+    if kind is RequirementKind.ADMIN_AUTH and caps.auth_mode is None:
+        return "auth is none"
+    if kind is RequirementKind.INTEGRITY_CONTROL and not caps.integrity_trigger:
+        return "integrity-trigger is off"
+    return None
+
+
 def develop_procedure(profile: FirewallProfile, requirement: Requirement) -> TestProcedure:
     """Derive the one procedure that sources from `requirement` for this profile."""
     caps = profile.capabilities
+    problem = capability_problem(requirement.kind, caps)
+    if problem:
+        raise UnsupportedRequirement(f"{requirement.id}: {problem}")
     proc_id = f"{profile.name}/{requirement.id}"
     if requirement.kind in FILTER_KINDS:
-        if requirement.kind is RequirementKind.LINK_FILTER and not caps.link_layer:
-            raise UnsupportedRequirement(
-                f"{requirement.id}: product cannot see link-layer addresses"
-            )
-        if requirement.kind is RequirementKind.FIELD_FILTER:
-            missing = [f for f in ("proto", "ttl") if f not in caps.filter_fields]
-            if missing:
-                raise UnsupportedRequirement(
-                    f"{requirement.id}: product cannot screen on {', '.join(missing)}"
-                )
         attrs = ", ".join(requirement.params)
         return TestProcedure(
             id=proc_id,
@@ -161,10 +170,6 @@ def develop_procedure(profile: FirewallProfile, requirement: Requirement) -> Tes
             ),
         )
     if requirement.kind is RequirementKind.ADMIN_AUTH:
-        if caps.auth_mode is None:
-            raise UnsupportedRequirement(
-                f"{requirement.id}: product has no administrator sign-on"
-            )
         steps = [
             "register the administrator accounts on the product",
             "start a capture on the management segment",
@@ -189,10 +194,6 @@ def develop_procedure(profile: FirewallProfile, requirement: Requirement) -> Tes
             ),
         )
     if requirement.kind is RequirementKind.INTEGRITY_CONTROL:
-        if not caps.integrity_trigger:
-            raise UnsupportedRequirement(
-                f"{requirement.id}: product cannot run an on-demand integrity check"
-            )
         return TestProcedure(
             id=proc_id,
             requirement_id=requirement.id,
@@ -206,52 +207,6 @@ def develop_procedure(profile: FirewallProfile, requirement: Requirement) -> Tes
             expected="a file is flagged if and only if it was edited",
         )
     raise UnsupportedRequirement(f"no procedure template for kind {requirement.kind}")
-
-
-@dataclass(frozen=True)
-class BijectivityBreak:
-    """One witness for a broken requirement-to-procedure assignment."""
-
-    kind: str
-    requirement_id: str | None = None
-    procedure_id: str | None = None
-
-
-def check_bijectivity(
-    requirements: Sequence[Requirement], procedures: Sequence[TestProcedure]
-) -> tuple[int, tuple[BijectivityBreak, ...]]:
-    """Check the one-to-one requirement/procedure assignment.
-
-    Returns (1, ()) when every requirement sources exactly one procedure
-    and every procedure sources from exactly one listed requirement;
-    otherwise (0, witnesses).
-    """
-    breaks: list[BijectivityBreak] = []
-    req_ids = [r.id for r in requirements]
-    seen: set[str] = set()
-    for rid in req_ids:
-        if rid in seen:
-            breaks.append(BijectivityBreak("duplicate-id", requirement_id=rid))
-        seen.add(rid)
-
-    sourced: dict[str, list[str]] = {}
-    for proc in procedures:
-        sourced.setdefault(proc.requirement_id, []).append(proc.id)
-    for rid, proc_ids in sourced.items():
-        if rid not in seen:
-            for pid in proc_ids:
-                breaks.append(
-                    BijectivityBreak("orphan-procedure", requirement_id=rid, procedure_id=pid)
-                )
-        elif len(proc_ids) > 1:
-            for pid in proc_ids:
-                breaks.append(
-                    BijectivityBreak("shared-source", requirement_id=rid, procedure_id=pid)
-                )
-    for rid in req_ids:
-        if rid not in sourced:
-            breaks.append(BijectivityBreak("missing-procedure", requirement_id=rid))
-    return (0 if breaks else 1), tuple(breaks)
 
 
 def claim_bit(profile: FirewallProfile, requirement_id: str) -> int:

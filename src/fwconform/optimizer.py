@@ -7,21 +7,16 @@ the money budget, breaking ties toward lower cost and then lower variant
 ids so plans are reproducible.
 
 `optimize_plan` solves this exactly with a memoized search over
-(requirement index, budget left); `brute_force_plan` enumerates every
-combination and exists so the two can be checked against each other.
+(requirement index, budget left).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
-from math import prod
 from typing import Mapping, Sequence
 
-from .errors import Infeasible, TooLarge
-
-BRUTE_FORCE_LIMIT = 10**6
+from .errors import Infeasible
 
 
 @dataclass(frozen=True)
@@ -135,29 +130,3 @@ def optimize_plan(
                 need_cost -= v.cost
                 break
     return _as_plan(chosen, budget)
-
-
-def brute_force_plan(
-    catalog: Mapping[str, Sequence[ProcedureVariant]], budget: int | None = None
-) -> CampaignPlan:
-    """Enumerate every combination; independent witness for `optimize_plan`."""
-    groups = _validated_groups(catalog)
-    combos = prod(len(g) for g in groups)
-    if combos > BRUTE_FORCE_LIMIT:
-        raise TooLarge(f"{combos} combinations exceed the enumeration limit")
-    winner = None
-    winner_key = None
-    for combo in product(*groups):
-        total_cost = sum(v.cost for v in combo)
-        if budget is not None and total_cost > budget:
-            continue
-        key = (
-            sum(v.time for v in combo),
-            total_cost,
-            tuple(v.variant_id for v in combo),
-        )
-        if winner_key is None or key < winner_key:
-            winner, winner_key = combo, key
-    if winner is None:
-        raise Infeasible(f"budget {budget} cannot cover the campaign")
-    return _as_plan(winner, budget)

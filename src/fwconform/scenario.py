@@ -25,7 +25,7 @@ the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import ScenarioParseError, ScenarioValidationError
@@ -41,9 +41,13 @@ from .firewall import (
     fault_problem,
     link_address,
 )
-from .formal import ALL_REQUIREMENTS, Capabilities, FirewallProfile, RequirementKind
+from .formal import (
+    ALL_REQUIREMENTS, Capabilities, FirewallProfile, RequirementKind, capability_problem
+)
 from .optimizer import ProcedureVariant
-from .testbench import Host, TrafficSpec
+from .testbench import (
+    FILTER_LEVELS, Host, TrafficSpec, attempt_coverage_problem, filter_level_problem
+)
 
 _SECTIONS = (
     "profile",
@@ -84,17 +88,16 @@ class Scenario:
     budget: int | None = None
     faults: tuple[Fault, ...] = ()
 
-    def profile(self) -> FirewallProfile:
-        return FirewallProfile(
-            name=self.name,
-            claims=self.claims,
-            capabilities=Capabilities(
-                link_layer=self.link_layer,
-                filter_fields=self.filter_fields,
-                auth_mode=self.auth_mode,
-                integrity_trigger=self.integrity_trigger,
-            ),
+    def capabilities(self) -> Capabilities:
+        return Capabilities(
+            link_layer=self.link_layer,
+            filter_fields=self.filter_fields,
+            auth_mode=self.auth_mode,
+            integrity_trigger=self.integrity_trigger,
         )
+
+    def profile(self) -> FirewallProfile:
+        return FirewallProfile(self.name, self.claims, self.capabilities())
 
     def variant_catalog(self) -> dict[str, list[ProcedureVariant]]:
         """Declared variants grouped by claim; a lone free variant fills gaps."""
@@ -408,39 +411,34 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     if outside:
         say(f"claim(s) outside the requirement list: {', '.join(outside)}")
 
-    claims = [c for c in scenario.claims if c in ALL_REQUIREMENTS]
+    # The enforcing layers own these preconditions and their texts.
+    claims = dict.fromkeys(c for c in scenario.claims if c in ALL_REQUIREMENTS)
     kinds = {ALL_REQUIREMENTS[c].kind for c in claims}
-    if RequirementKind.LINK_FILTER in kinds and not scenario.link_layer:
-        say("r1-link claimed but link-layer is off")
-    if RequirementKind.FIELD_FILTER in kinds:
-        missing = [f for f in ("proto", "ttl") if f not in scenario.filter_fields]
-        if missing:
-            say(f"r1-fields claimed but filter-fields lacks {', '.join(missing)}")
-        if not any(r.constrains_fields for r in scenario.rules):
-            say("r1-fields claimed but no rule constrains proto or ttl")
-    if RequirementKind.ADMIN_AUTH in kinds and scenario.auth_mode is None:
-        say("r2 claimed but auth is none")
-    if RequirementKind.INTEGRITY_CONTROL in kinds and not scenario.integrity_trigger:
-        say("r3 claimed but integrity-trigger is off")
+    caps = scenario.capabilities()
+    hosts = scenario.external + scenario.internal
+    for claim in claims:
+        kind = ALL_REQUIREMENTS[claim].kind
+        level = FILTER_LEVELS.get(kind)
+        for problem in (
+            capability_problem(kind, caps),
+            level and filter_level_problem(level, hosts, scenario.rules),
+        ):
+            if problem:
+                say(f"{claim} claimed but {problem}")
 
     if not scenario.external:
         say("no external hosts")
     if not scenario.internal:
         say("no internal hosts")
-    names = [h.name for h in scenario.external + scenario.internal]
+    names = [h.name for h in hosts]
     dup = sorted({n for n in names if names.count(n) > 1})
     if dup:
         say(f"duplicate host name(s): {', '.join(dup)}")
-    nets = [h.address.net for h in scenario.external + scenario.internal]
+    nets = [h.address.net for h in hosts]
     dup = sorted({n for n in nets if nets.count(n) > 1})
     if dup:
         say(f"host address(es) used twice: {', '.join(dup)}")
-    if RequirementKind.LINK_FILTER in kinds:
-        bare = [h.name for h in scenario.external + scenario.internal if h.address.link is None]
-        if bare:
-            say(f"r1-link claimed but host(s) without link address: {', '.join(bare)}")
 
-    known = set(names)
     external = {h.name for h in scenario.external}
     internal = {h.name for h in scenario.internal}
     for i, rule in enumerate(scenario.rules):
@@ -463,14 +461,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     if RequirementKind.ADMIN_AUTH in kinds and not scenario.accounts:
         say("r2 claimed but no accounts registered")
     if scenario.attempts is not None and scenario.accounts:
-        reg_ids = {a.identifier for a in scenario.accounts}
-        reg_pwds = {a.password for a in scenario.accounts}
-        seen = {(i in reg_ids, p in reg_pwds) for i, p in scenario.attempts}
-        if len(seen) < 4:
-            say(
-                "attempt list must mix registered and unregistered identifiers"
-                " and passwords in all four combinations"
-            )
+        problem = attempt_coverage_problem(scenario.attempts, scenario.accounts)
+        if problem:
+            say(problem)
 
     file_ids = [f.file_id for f in scenario.files]
     dup = sorted({f for f in file_ids if file_ids.count(f) > 1})

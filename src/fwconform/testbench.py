@@ -10,7 +10,8 @@ verdict stage compares against the rule set.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 from typing import Iterable, Mapping, Sequence
@@ -40,6 +41,7 @@ from .firewall import (
     digest,
     split_filter_journal,
 )
+from .formal import RequirementKind
 
 
 class FilterLevel(Enum):
@@ -48,6 +50,14 @@ class FilterLevel(Enum):
     NETWORK = "network"
     LINK = "link"
     FIELDS = "fields"
+
+
+# The screening level each filter requirement is tested at.
+FILTER_LEVELS = {
+    RequirementKind.NET_FILTER: FilterLevel.NETWORK,
+    RequirementKind.LINK_FILTER: FilterLevel.LINK,
+    RequirementKind.FIELD_FILTER: FilterLevel.FIELDS,
+}
 
 
 @dataclass(frozen=True)
@@ -212,28 +222,35 @@ class FilterEvidence:
     journal_denied: tuple[JournalEntry, ...]
 
 
+def filter_level_problem(
+    level: FilterLevel, hosts: Sequence[Host], rules: Sequence[FilterRule]
+) -> str | None:
+    """Why a run at `level` over these hosts and rules proves nothing, or None.
+
+    A link-level run needs a link address on every host, and a field-level
+    run a rule that constrains a field; otherwise the run could not tell
+    the claim apart from plain address screening.
+    """
+    if level is FilterLevel.LINK:
+        bare = [h.name for h in hosts if h.address.link is None]
+        if bare:
+            return f"host(s) without link address: {', '.join(bare)}"
+    if level is FilterLevel.FIELDS and not any(r.constrains_fields for r in rules):
+        return "no rule constrains proto or ttl"
+    return None
+
+
 def run_filter_procedure(
     bench: Testbench,
     rules: Sequence[FilterRule],
     level: FilterLevel = FilterLevel.NETWORK,
     traffic: Sequence[TrafficSpec] | None = None,
 ) -> FilterEvidence:
-    """Load the rule set, replay probe traffic, and collect the evidence.
-
-    Link-level runs need every bench host to carry a link address;
-    field-level runs need at least one rule that actually constrains a
-    field, otherwise the run could not distinguish the claim from plain
-    address screening.
-    """
+    """Load the rule set, replay probe traffic, and collect the evidence."""
+    problem = filter_level_problem(level, bench.external + bench.internal, rules)
+    if problem:
+        raise InapplicableRule(problem)
     ordered = sorted(rules, key=lambda r: r.order)
-    if level is FilterLevel.LINK:
-        bare = [h.name for h in bench.external + bench.internal if h.address.link is None]
-        if bare:
-            raise InapplicableRule(
-                f"link-level run but hosts without link addresses: {', '.join(bare)}"
-            )
-    if level is FilterLevel.FIELDS and not any(r.constrains_fields for r in ordered):
-        raise InapplicableRule("field-level run but no rule constrains proto or ttl")
     bench.fw.set_rules(ordered)
     bench.reset_taps()
     mark = len(bench.fw.export_journal())
@@ -300,22 +317,18 @@ def _default_attempts(accounts: Sequence[AdminAccount]) -> list[tuple[str, str]]
     ]
 
 
-def _check_attempt_coverage(
+def attempt_coverage_problem(
     attempts: Sequence[tuple[str, str]], accounts: Sequence[AdminAccount]
-) -> None:
-    # All four (identifier registered?, password registered?) combinations
-    # must be tried, or acceptance/rejection cannot be told apart from luck.
+) -> str | None:
+    """Why `attempts` cannot tell acceptance from luck, or None when they can."""
     ids = {a.identifier for a in accounts}
     pwds = {a.password for a in accounts}
-    seen = {(identifier in ids, password in pwds) for identifier, password in attempts}
-    missing = [
-        f"{'registered' if ki else 'unregistered'} identifier with "
-        f"{'registered' if kp else 'unregistered'} password"
-        for ki, kp in product((True, False), repeat=2)
-        if (ki, kp) not in seen
-    ]
-    if missing:
-        raise InsufficientAttemptCoverage("; ".join(missing))
+    if len({(identifier in ids, password in pwds) for identifier, password in attempts}) < 4:
+        return (
+            "attempt list must mix registered and unregistered identifiers"
+            " and passwords in all four combinations"
+        )
+    return None
 
 
 def _screening_probes(bench: Testbench, stage: str) -> list[tuple[str, str, str, str]]:
@@ -363,7 +376,9 @@ def run_auth_procedure(
     if not registered:
         raise InsufficientAttemptCoverage("no administrator accounts registered")
     tried = list(attempts) if attempts is not None else _default_attempts(registered)
-    _check_attempt_coverage(tried, registered)
+    problem = attempt_coverage_problem(tried, registered)
+    if problem:
+        raise InsufficientAttemptCoverage(problem)
     mode = bench.fw.auth_mode
     bench.reset_taps()
     bench.capturing = mode is AuthMode.REMOTE
@@ -389,21 +404,33 @@ def run_auth_procedure(
     )
 
 
+# A sign-on request in the clear; a password may hold spaces and `=`.
+_CLEAR_SIGNON = re.compile(rb"(?:\A| )id=(.*?) pwd=(.*)\Z", re.S)
+
+
 def scan_for_plaintext_credentials(
     captures: Iterable[Packet],
     accounts: Sequence[AdminAccount],
     tag_attempts: Mapping[int, int] | None = None,
 ) -> tuple[CredentialFinding, ...]:
-    """Search captured payloads for any registered credential in the clear."""
+    """Search captured payloads for any registered credential in the clear.
+
+    A credential counts only as the whole value of an ``id=`` or ``pwd=``
+    field, so the fixed text around it (``console-signon``, ``attempt=0``,
+    ``granted``, a probe's payload) never matches a short secret.
+    """
     findings = []
     tag_attempts = tag_attempts or {}
     for packet in captures:
+        fields = _CLEAR_SIGNON.search(packet.payload)
+        if fields is None:
+            continue
         for account in accounts:
-            for piece, secret in (
-                ("identifier", account.identifier),
-                ("password", account.password),
+            for piece, secret, sent in (
+                ("identifier", account.identifier, fields[1]),
+                ("password", account.password, fields[2]),
             ):
-                if secret.encode() in packet.payload:
+                if secret.encode() == sent:
                     findings.append(
                         CredentialFinding(
                             attempt_index=tag_attempts.get(packet.payload_tag, -1),

@@ -41,20 +41,6 @@ ATTEMPTS_JOURNALED = "attempts-journaled-in-order"
 NO_PLAINTEXT_CREDENTIALS = "no-plaintext-credentials-captured"
 DETECTIONS_MATCH = "detections-match-modifications"
 
-FILTER_LABELS = (
-    FORWARD_MATCHES_ALLOW,
-    DROP_MATCHES_DENY,
-    JOURNAL_MATCHES_FORWARD,
-    JOURNAL_MATCHES_DROP,
-)
-RULE_COMPARISON_LABELS = (FORWARD_MATCHES_ALLOW, DROP_MATCHES_DENY)
-AUTH_LABELS = (
-    REGISTERED_ACCEPTED,
-    UNREGISTERED_REJECTED,
-    ATTEMPTS_JOURNALED,
-    NO_PLAINTEXT_CREDENTIALS,
-)
-
 
 class PairSet(frozenset):
     """An order-free set of projected traffic tuples."""
@@ -104,15 +90,10 @@ def _level_tuple(packet: Packet, level: FilterLevel) -> tuple:
     return (packet.src.net, packet.dst.net, packet.proto, packet.ttl)
 
 
-def _first_match_action(rules: Sequence[FilterRule], packet: Packet) -> RuleAction | None:
-    """Reference screening semantics: first matching rule decides, else None."""
-    return _first_match_in_order(sorted(rules, key=lambda r: r.order), packet)
-
-
 def _first_match_in_order(
     ordered: Iterable[FilterRule], packet: Packet
 ) -> RuleAction | None:
-    """`_first_match_action` over rules already in `order` order."""
+    """Reference first-match semantics over rules already in `order` order; None if none match."""
     for rule in ordered:
         if rule.src != packet.src.net:
             continue

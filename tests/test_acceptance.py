@@ -17,6 +17,7 @@ import pytest
 
 import fwconform.cli as cli
 from _oracles import oracle_conform, oracle_forwarded_tags
+from _support import brute_force_plan, check_bijectivity
 from fwconform.campaign import run_campaign
 from fwconform.errors import Infeasible
 from fwconform.firewall import (
@@ -38,9 +39,8 @@ from fwconform.formal import (
     ProcedureOutcome,
     RequirementKind,
     aggregate_verdict,
-    check_bijectivity,
 )
-from fwconform.optimizer import ProcedureVariant, brute_force_plan, optimize_plan
+from fwconform.optimizer import ProcedureVariant, optimize_plan
 from fwconform.report import strip_timestamps
 from fwconform.scenario import load_scenario
 from fwconform.testbench import (

@@ -4,9 +4,9 @@ from pathlib import Path
 import pytest
 
 from fwconform.campaign import child_seed, run_campaign
-from fwconform.errors import InapplicableRule, ScenarioValidationError
+from fwconform.errors import FwconformError, InapplicableRule, ScenarioValidationError
 from fwconform.firewall import Fault
-from fwconform.scenario import load_scenario, parse_scenario
+from fwconform.scenario import load_scenario, parse_scenario, validate_scenario
 
 REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference.scn"
 
@@ -91,3 +91,72 @@ def test_run_campaign_refuses_an_inapplicable_fault(scenario_text, spec, message
         run_campaign(scenario, faults=[Fault.parse(spec)])
     with pytest.raises(ScenarioValidationError, match=f"fault {spec}: {message}"):
         run_campaign(replace(scenario, faults=(Fault.parse(spec),)))
+
+
+@pytest.mark.parametrize("account", ["con pw-long-enough", "sole pw-long-enough", "alice a"])
+def test_compliant_product_with_short_credentials_conforms(account):
+    text = REFERENCE.read_text().replace(
+        "account alice s3cret!pass\naccount bob hunter-two", f"account {account}"
+    )
+    scenario = parse_scenario(text)
+    assert scenario.accounts[0].identifier == account.split()[0]
+    assert validate_scenario(scenario) == []
+    report = run_campaign(scenario)
+    assert report.campaign.conform == 1
+
+
+_MACS = MINIMAL.replace(
+    "198.51.100.10", "198.51.100.10 02:00:5e:10:00:01"
+).replace("203.0.113.20", "203.0.113.20 02:00:5e:20:00:01")
+
+
+@pytest.mark.parametrize(
+    "scenario_text, problem",
+    [
+        (
+            _MACS.replace("claims r1", "claims r1-link\nlink-layer off"),
+            "r1-link claimed but link-layer is off",
+        ),
+        (
+            MINIMAL.replace("claims r1", "claims r1-fields\nfilter-fields ttl")
+            + "allow probe target proto=6\n",
+            "r1-fields claimed but filter-fields lacks proto",
+        ),
+        (
+            MINIMAL.replace("claims r1", "claims r2\nauth none")
+            + "\n[accounts]\naccount root topsecret\n",
+            "r2 claimed but auth is none",
+        ),
+        (
+            MINIMAL.replace("claims r1", "claims r3\nintegrity-trigger off")
+            + "\n[files]\nfile a text:x\n",
+            "r3 claimed but integrity-trigger is off",
+        ),
+        (
+            MINIMAL.replace("claims r1", "claims r1-link"),
+            "r1-link claimed but host(s) without link address: probe, target",
+        ),
+        (
+            MINIMAL.replace("claims r1", "claims r1-fields"),
+            "r1-fields claimed but no rule constrains proto or ttl",
+        ),
+        (
+            MINIMAL.replace("claims r1", "claims r2")
+            + "\n[accounts]\naccount root topsecret\n"
+            + "\n[attempts]\nattempt root topsecret\nattempt root topsecret\n",
+            "attempt list must mix registered and unregistered identifiers"
+            " and passwords in all four combinations",
+        ),
+    ],
+    ids=[
+        "link-layer", "filter-fields", "auth", "integrity-trigger",
+        "link-addresses", "field-rule", "attempt-coverage",
+    ],
+)
+def test_validate_and_run_campaign_give_one_text_per_precondition(scenario_text, problem):
+    scenario = parse_scenario(scenario_text)
+    assert validate_scenario(scenario) == [problem]
+    with pytest.raises(FwconformError) as caught:
+        run_campaign(scenario)
+    owner_text = problem.split(" claimed but ", 1)[-1]
+    assert owner_text in str(caught.value)

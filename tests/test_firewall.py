@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from _oracles import oracle_forwarded_tags
-from fwconform.errors import InapplicableFault, MechanismInactive, UnknownFile
+from fwconform.errors import FwconformError, MechanismInactive, UnknownFile
 from fwconform.firewall import (
     AdminAccount,
     Address,
@@ -20,7 +20,7 @@ from fwconform.firewall import (
     Packet,
     RuleAction,
     digest,
-    inject_fault,
+    fault_problem,
     split_filter_journal,
 )
 
@@ -39,6 +39,33 @@ def allow(src, dst, order, **kw):
 
 def deny(src, dst, order, **kw):
     return FilterRule(RuleAction.DENY, src, dst, order=order, **kw)
+
+
+class InapplicableFault(FwconformError):
+    """A fault variant cannot be applied to this configuration."""
+
+
+def inject_fault(fw, fault):
+    """A copy of `fw` degraded by one more fault.
+
+    The copy is otherwise identical, including journal state and baselines.
+    """
+    problem = fault_problem(fault, len(fw.rules), fw.files, fw.auth_mode)
+    if problem:
+        raise InapplicableFault(problem)
+    copy = Firewall(
+        rules=fw.rules,
+        accounts=fw.accounts,
+        files=list(fw.files.values()),
+        auth_mode=fw.auth_mode,
+        management=fw.management,
+        faults=fw.faults + (fault,),
+    )
+    copy._baselines_recorded = fw._baselines_recorded
+    copy._journal = list(fw._journal)
+    copy._seq = fw._seq
+    copy._auth_attempt_count = fw._auth_attempt_count
+    return copy
 
 
 # -- addresses ----------------------------------------------------------------

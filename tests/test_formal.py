@@ -16,11 +16,11 @@ from fwconform.formal import (
     RequirementKind,
     TestProcedure,
     aggregate_verdict,
-    check_bijectivity,
     claim_bit,
     develop_procedure,
 )
 from _oracles import oracle_conform
+from _support import check_bijectivity
 
 FULL = FirewallProfile("sut", tuple(ALL_REQUIREMENTS))
 CORE = ("r1", "r2", "r3")

@@ -3,13 +3,9 @@ import random
 import pytest
 
 from _oracles import oracle_plan
-from fwconform.errors import Infeasible, TooLarge
-from fwconform.optimizer import (
-    BRUTE_FORCE_LIMIT,
-    ProcedureVariant,
-    brute_force_plan,
-    optimize_plan,
-)
+from _support import BRUTE_FORCE_LIMIT, TooLarge, brute_force_plan
+from fwconform.errors import Infeasible
+from fwconform.optimizer import ProcedureVariant, optimize_plan
 
 
 def v(rid, vid, time, cost):

@@ -181,6 +181,30 @@ def test_validation_capability_gates():
     assert any("r3 claimed but no files to monitor" in p for p in problems)
 
 
+def test_validation_messages_are_pinned():
+    text = MINIMAL.replace(
+        "claims r1",
+        "claims r1 r1-link r1-fields r2 r3\nauth none\nlink-layer off\n"
+        "filter-fields ttl\nintegrity-trigger off",
+    )
+    text += "\n[accounts]\naccount root topsecret\n"
+    text += "\n[attempts]\nattempt root topsecret\nattempt root topsecret\n"
+    problems = validate_scenario(parse_scenario(text))
+    assert sorted(problems) == sorted(
+        [
+            "r1-link claimed but link-layer is off",
+            "r1-fields claimed but filter-fields lacks proto",
+            "r1-fields claimed but no rule constrains proto or ttl",
+            "r2 claimed but auth is none",
+            "r3 claimed but integrity-trigger is off",
+            "r1-link claimed but host(s) without link address: probe, target",
+            "attempt list must mix registered and unregistered identifiers"
+            " and passwords in all four combinations",
+            "r3 claimed but no files to monitor",
+        ]
+    )
+
+
 def test_validation_checks_rule_and_traffic_direction():
     text = MINIMAL + "\ndeny target probe\n\n[traffic]\npacket target probe\n"
     problems = validate_scenario(parse_scenario(text))

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fwconform.errors import (
     EmptySegment,
@@ -11,6 +13,8 @@ from fwconform.firewall import (
     AdminAccount,
     Address,
     AuthMode,
+    Fault,
+    FaultName,
     FileArtifact,
     FilterRule,
     Mutation,
@@ -192,6 +196,71 @@ def test_scan_finds_credential_substrings():
         ("alice", "password", 2),
     }
     assert scan_for_plaintext_credentials(packets, [AdminAccount("zoe", "qq")]) == ()
+
+
+@pytest.mark.parametrize(
+    "account",
+    [
+        AdminAccount("con", "pw-long-enough"),
+        AdminAccount("sole", "pw-long-enough"),
+        AdminAccount("0", "pw-long-enough"),
+        AdminAccount("probe", "pw-long-enough"),
+        AdminAccount("root", "a"),
+        AdminAccount("root", "granted"),
+        AdminAccount("root", "0"),
+    ],
+    ids=lambda a: f"{a.identifier}/{a.password}",
+)
+def test_scan_ignores_the_console_framing(account):
+    # The fixed text of the remote sign-on exchange ("console-signon",
+    # "attempt=0", "granted") and the screening probes' payload contain
+    # these credentials as substrings; a compliant product leaks nothing.
+    rules = [allow("198.51.100.10", "203.0.113.20", 0), deny("198.51.100.10", "203.0.113.21", 1)]
+    ev = run_auth_procedure(bench(rules=rules, accounts=[account]))
+    assert ev.captures
+    assert ev.findings == ()
+
+
+def test_scan_matches_a_whole_password_with_spaces_and_equals_signs():
+    accounts = [AdminAccount("alice", "top secret=x"), AdminAccount("x", "secret")]
+    packets = (
+        Packet(Address("203.0.113.20"), Address("198.18.0.1"), payload_tag=4,
+               payload=b"console-signon attempt=1 id=alice pwd=top secret=x"),
+    )
+    findings = scan_for_plaintext_credentials(packets, accounts, {4: 1})
+    assert [(f.account_id, f.piece, f.attempt_index) for f in findings] == [
+        ("alice", "identifier", 1),
+        ("alice", "password", 1),
+    ]
+
+
+_IDENTIFIERS = st.text("0123456789abcdefonsl-", min_size=1, max_size=4)
+_PASSWORDS = st.text("0123456789abcdefgnrtd= ", min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    accounts=st.lists(
+        st.tuples(_IDENTIFIERS, _PASSWORDS), min_size=1, max_size=3,
+        unique_by=lambda a: a[0],
+    ),
+    leak=st.booleans(),
+)
+def test_scan_finds_exactly_the_credentials_sent_in_the_clear(accounts, leak):
+    accounts = [AdminAccount(i, p) for i, p in accounts]
+    faults = [Fault(FaultName.LEAK_CREDENTIALS)] if leak else []
+    rules = [allow("198.51.100.10", "203.0.113.20", 0), deny("198.51.100.10", "203.0.113.21", 1)]
+    ev = run_auth_procedure(bench(rules=rules, accounts=accounts, faults=faults))
+    found = {(f.attempt_index, f.account_id, f.piece) for f in ev.findings}
+    sent = set()
+    if leak:
+        for index, attempt in enumerate(ev.attempts):
+            for account in accounts:
+                if account.identifier == attempt.identifier:
+                    sent.add((index, account.identifier, "identifier"))
+                if account.password == attempt.password:
+                    sent.add((index, account.identifier, "password"))
+    assert found == sent
 
 
 def test_integrity_ground_truth_is_content_change():

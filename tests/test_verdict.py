@@ -46,8 +46,14 @@ from fwconform.verdict import (
     evaluate_filter_criteria,
     evaluate_integrity_criteria,
     project,
-    _first_match_action,
+    _first_match_in_order,
 )
+
+
+def _first_match_action(rules, packet):
+    """Reference screening semantics over rules in any order."""
+    return _first_match_in_order(sorted(rules, key=lambda r: r.order), packet)
+
 
 EXT = [
     Host("ext1", Address("198.51.100.10", "02:00:5e:10:00:01")),
