@@ -1,9 +1,10 @@
 """End-to-end campaign driver.
 
-Takes a validated scenario and walks the whole cycle: develop one
-procedure per claimed requirement, pick variants within budget, execute
-each procedure on a fresh bench, evaluate the criteria, and fold the
-outcomes into a single conformance verdict wrapped in a report.
+Checks the scenario as `validate_scenario` does, then walks the whole
+cycle: develop one procedure per claimed requirement, pick variants
+within budget, execute each procedure on a fresh bench, evaluate the
+criteria, and fold the outcomes into a single conformance verdict
+wrapped in a report.
 
 Each requirement gets its own bench and its own firewall instance so
 procedures cannot contaminate each other, with a per-requirement seed
@@ -13,10 +14,10 @@ derived from the scenario seed so the whole run replays bit for bit.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from datetime import datetime, timezone
 from typing import Sequence
 
-from .errors import FwconformError, ScenarioValidationError
 from .firewall import Address, AuthMode, Fault, FilterRule
 from .formal import (
     ALL_REQUIREMENTS,
@@ -28,7 +29,7 @@ from .formal import (
 )
 from .optimizer import optimize_plan
 from .report import ProcedureRecord, Report, ReportMetadata
-from .scenario import Scenario, fault_problems, resolve_rules
+from .scenario import Scenario, check_scenario, resolve_rules
 from .testbench import (
     FILTER_LEVELS,
     Testbench,
@@ -50,10 +51,7 @@ def child_seed(seed: int, requirement_id: str) -> int:
 
 
 def _fresh_bench(
-    scenario: Scenario,
-    requirement_id: str,
-    faults: Sequence[Fault],
-    rules: Sequence[FilterRule],
+    scenario: Scenario, requirement_id: str, rules: Sequence[FilterRule]
 ) -> Testbench:
     return build_testbench(
         external=scenario.external,
@@ -63,7 +61,7 @@ def _fresh_bench(
         files=scenario.files,
         auth_mode=scenario.auth_mode or AuthMode.REMOTE,
         management=Address(scenario.management) if scenario.management else None,
-        faults=faults,
+        faults=scenario.faults,
         seed=child_seed(scenario.seed, requirement_id),
     )
 
@@ -72,14 +70,14 @@ def run_campaign(scenario: Scenario, faults: Sequence[Fault] | None = None) -> R
     """Execute the scenario and return the full report.
 
     `faults` replaces the scenario's own fault list when given, which is
-    how the command line injects defects without editing the file.  A
-    fault that cannot apply to the scenario's product raises
-    ScenarioValidationError, as `validate_scenario` reports it.
+    how the command line injects defects without editing the file.  The
+    scenario, with that fault list, is checked first: any problem
+    `validate_scenario` finds raises ScenarioValidationError carrying
+    exactly its list, before any procedure runs.
     """
-    active = tuple(faults) if faults is not None else scenario.faults
-    problems = fault_problems(scenario, active)
-    if problems:
-        raise ScenarioValidationError(problems)
+    if faults is not None:
+        scenario = replace(scenario, faults=tuple(faults))
+    check_scenario(scenario)
     profile = scenario.profile()
     campaign = Campaign(profile)
     procedures = campaign.develop_all()
@@ -90,21 +88,16 @@ def run_campaign(scenario: Scenario, faults: Sequence[Fault] | None = None) -> R
     records = []
     for req in campaign.claimed_requirements():
         procedure = procedures[req.id]
-        try:
-            bench = _fresh_bench(scenario, req.id, active, rules)
-            if req.kind in FILTER_LEVELS:
-                evidence = run_filter_procedure(
-                    bench, rules, FILTER_LEVELS[req.kind], scenario.traffic
-                )
-                criteria = evaluate_filter_criteria(evidence)
-            elif req.kind is RequirementKind.ADMIN_AUTH:
-                evidence = run_auth_procedure(bench, scenario.accounts, scenario.attempts)
-                criteria = evaluate_auth_criteria(evidence)
-            else:
-                evidence = run_integrity_procedure(bench, scenario.mutations)
-                criteria = evaluate_integrity_criteria(evidence)
-        except FwconformError as exc:
-            raise type(exc)(f"procedure {procedure.id}: {exc}") from exc
+        bench = _fresh_bench(scenario, req.id, rules)
+        if req.kind in FILTER_LEVELS:
+            evidence = run_filter_procedure(bench, rules, FILTER_LEVELS[req.kind], scenario.traffic)
+            criteria = evaluate_filter_criteria(evidence)
+        elif req.kind is RequirementKind.ADMIN_AUTH:
+            evidence = run_auth_procedure(bench, scenario.accounts, scenario.attempts)
+            criteria = evaluate_auth_criteria(evidence)
+        else:
+            evidence = run_integrity_procedure(bench, scenario.mutations)
+            criteria = evaluate_integrity_criteria(evidence)
         outcome = ProcedureOutcome.from_criteria(procedure.id, req.id, criteria)
         outcomes[req.id] = outcome
         records.append(
@@ -129,7 +122,7 @@ def run_campaign(scenario: Scenario, faults: Sequence[Fault] | None = None) -> R
         seed=scenario.seed,
         profile=profile.name,
         created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        faults=tuple(f.spec_text() for f in active),
+        faults=tuple(f.spec_text() for f in scenario.faults),
     )
     return Report(metadata=metadata, campaign=verdict, plan=plan, procedures=tuple(records))
 

@@ -96,8 +96,6 @@ def _cmd_plan(args) -> int:
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ScenarioValidationError(["seed must be nonnegative"])
         scenario = replace(scenario, seed=args.seed)
     try:
         faults = [Fault.parse(spec) for spec in args.inject] if args.inject else None

@@ -43,6 +43,10 @@ class InsufficientAttemptCoverage(FwconformError):
     """The sign-on attempt list misses one of the four id/password combinations."""
 
 
+class NoMonitoredFiles(FwconformError, ValueError):
+    """An integrity run was asked of a product that monitors no files."""
+
+
 class IncompleteEvidence(FwconformError):
     """An evidence bundle is missing one of its required artifacts."""
 

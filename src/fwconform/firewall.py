@@ -83,6 +83,10 @@ def link_address(text: str) -> str:
     return low
 
 
+# The product's management interface unless a scenario places it.
+DEFAULT_MANAGEMENT = Address("198.18.0.1")
+
+
 @dataclass(frozen=True)
 class Packet:
     """One simulated datagram; `payload_tag` is unique within a procedure run."""
@@ -292,7 +296,7 @@ class Firewall:
         faults: Sequence[Fault] = (),
     ):
         self.auth_mode = auth_mode
-        self.management = management if management is not None else Address("198.18.0.1")
+        self.management = management if management is not None else DEFAULT_MANAGEMENT
         self.faults = tuple(faults)
         self._ignored_fields = frozenset(
             str(f.param) for f in self.faults if f.name is FaultName.IGNORE_FIELD
@@ -318,10 +322,9 @@ class Firewall:
             )
         self._baselines_recorded = False
         self._auth_attempt_count = 0
-        # Wired up by the testbench so remote sign-on traffic lands on a tap.
-        self._console_sink: Callable[[Packet, int], None] | None = None
-        self._console_tag: Callable[[], int] | None = None
-        self._console_addr: Address | None = None
+        # Wired up by the testbench so remote sign-on traffic lands on a tap:
+        # (packet sink, tag source, console address).
+        self._console: tuple[Callable, Callable, Address] | None = None
 
     # -- configuration ----------------------------------------------------
 
@@ -360,9 +363,7 @@ class Firewall:
         make_tag: Callable[[], int],
         console: Address,
     ) -> None:
-        self._console_sink = sink
-        self._console_tag = make_tag
-        self._console_addr = console
+        self._console = (sink, make_tag, console)
 
     # -- fault plumbing ----------------------------------------------------
 
@@ -444,11 +445,9 @@ class Firewall:
         return int(granted)
 
     def _emit_exchange(self, index: int, identifier: str, password: str, granted: bool) -> None:
-        if self._console_sink is None or self._console_tag is None:
+        if self._console is None:  # no bench connected: the exchange goes nowhere
             return
-        console = self._console_addr
-        if console is None:
-            return
+        sink, make_tag, console = self._console
         if self._has_fault(FaultName.LEAK_CREDENTIALS):
             request = f"console-signon attempt={index} id={identifier} pwd={password}"
         else:
@@ -464,11 +463,11 @@ class Firewall:
                 dst=dst,
                 proto=99,
                 ttl=DEFAULT_TTL,
-                payload_tag=self._console_tag(),
+                payload_tag=make_tag(),
                 payload=text.encode(),
                 ingress=Segment.INTERNAL,
             )
-            self._console_sink(packet, index)
+            sink(packet, index)
 
     # -- integrity control ---------------------------------------------------
 

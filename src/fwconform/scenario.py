@@ -25,8 +25,9 @@ the first.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .errors import ScenarioParseError, ScenarioValidationError
 from .firewall import (
@@ -46,7 +47,8 @@ from .formal import (
 )
 from .optimizer import ProcedureVariant
 from .testbench import (
-    FILTER_LEVELS, Host, TrafficSpec, attempt_coverage_problem, filter_level_problem
+    FILTER_LEVELS, Host, TrafficSpec, account_problem, attempt_coverage_problem,
+    filter_level_problem, monitored_file_problem,
 )
 
 _SECTIONS = (
@@ -212,10 +214,7 @@ class _Parser:
         elif key == "integrity-trigger":
             self.fields["integrity_trigger"] = _on_off(rest)
         elif key == "seed":
-            seed = int(rest)
-            if seed < 0:
-                raise ValueError(f"seed must be nonnegative: {seed}")
-            self.fields["seed"] = seed
+            self.fields["seed"] = int(rest)
         elif key == "management":
             self.fields["management"] = str(Address(rest).net)
         else:
@@ -318,10 +317,7 @@ class _Parser:
             if tokens[1] == "unlimited":
                 self.fields["budget"] = None
             else:
-                amount = int(tokens[1])
-                if amount < 0:
-                    raise ValueError(f"budget must be nonnegative: {amount}")
-                self.fields["budget"] = amount
+                self.fields["budget"] = int(tokens[1])
             return
         if tokens[0] != "variant" or len(tokens) != 5:
             raise ValueError("expected: variant <requirement> <id> time=N cost=N")
@@ -401,6 +397,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         say("profile claims no requirements")
     if len(set(scenario.claims)) != len(scenario.claims):
         say("duplicate claim ids")
+    if len(set(scenario.requirements)) != len(scenario.requirements):
+        say("duplicate requirement ids listed")
     unknown = [c for c in scenario.claims if c not in ALL_REQUIREMENTS]
     if unknown:
         say(f"unknown requirement id(s) claimed: {', '.join(unknown)}")
@@ -410,10 +408,13 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     outside = [c for c in scenario.claims if c not in scenario.requirements]
     if outside:
         say(f"claim(s) outside the requirement list: {', '.join(outside)}")
+    for what in ("seed", "budget"):
+        value = getattr(scenario, what)
+        if value is not None and value < 0:
+            say(f"{what} must be nonnegative: {value}")
 
     # The enforcing layers own these preconditions and their texts.
     claims = dict.fromkeys(c for c in scenario.claims if c in ALL_REQUIREMENTS)
-    kinds = {ALL_REQUIREMENTS[c].kind for c in claims}
     caps = scenario.capabilities()
     hosts = scenario.external + scenario.internal
     for claim in claims:
@@ -422,6 +423,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         for problem in (
             capability_problem(kind, caps),
             level and filter_level_problem(level, hosts, scenario.rules),
+            kind is RequirementKind.ADMIN_AUTH and account_problem(scenario.accounts),
+            kind is RequirementKind.INTEGRITY_CONTROL and monitored_file_problem(scenario.files),
         ):
             if problem:
                 say(f"{claim} claimed but {problem}")
@@ -430,12 +433,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         say("no external hosts")
     if not scenario.internal:
         say("no internal hosts")
-    names = [h.name for h in hosts]
-    dup = sorted({n for n in names if names.count(n) > 1})
+    dup = sorted(_repeated(h.name for h in hosts))
     if dup:
         say(f"duplicate host name(s): {', '.join(dup)}")
-    nets = [h.address.net for h in hosts]
-    dup = sorted({n for n in nets if nets.count(n) > 1})
+    dup = sorted(_repeated(h.address.net for h in hosts))
     if dup:
         say(f"host address(es) used twice: {', '.join(dup)}")
 
@@ -447,6 +448,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             say(f"{where}: source {rule.src!r} is not an external host")
         if rule.dst not in internal:
             say(f"{where}: destination {rule.dst!r} is not an internal host")
+    if scenario.traffic == ():
+        say("traffic list is empty")
     for i, spec in enumerate(scenario.traffic or ()):
         where = f"packet {i + 1}"
         if spec.src not in external:
@@ -454,24 +457,18 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if spec.dst not in internal:
             say(f"{where}: destination {spec.dst!r} is not an internal host")
 
-    ids = [a.identifier for a in scenario.accounts]
-    dup = sorted({i for i in ids if ids.count(i) > 1})
+    dup = sorted(_repeated(a.identifier for a in scenario.accounts))
     if dup:
         say(f"duplicate account identifier(s): {', '.join(dup)}")
-    if RequirementKind.ADMIN_AUTH in kinds and not scenario.accounts:
-        say("r2 claimed but no accounts registered")
     if scenario.attempts is not None and scenario.accounts:
         problem = attempt_coverage_problem(scenario.attempts, scenario.accounts)
         if problem:
             say(problem)
 
-    file_ids = [f.file_id for f in scenario.files]
-    dup = sorted({f for f in file_ids if file_ids.count(f) > 1})
+    contents = {f.file_id: f.content for f in scenario.files}
+    dup = sorted(_repeated(f.file_id for f in scenario.files))
     if dup:
         say(f"duplicate file id(s): {', '.join(dup)}")
-    if RequirementKind.INTEGRITY_CONTROL in kinds and not scenario.files:
-        say("r3 claimed but no files to monitor")
-    contents = {f.file_id: f.content for f in scenario.files}
     for i, m in enumerate(scenario.mutations):
         where = f"mutation {i + 1}"
         if m.file_id not in contents:
@@ -483,22 +480,23 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             say(f"{where}: {exc}")
 
     pairs = [(v.requirement_id, v.variant_id) for v in scenario.variants]
-    dup = sorted({f"{r}/{v}" for r, v in pairs if pairs.count((r, v)) > 1})
+    dup = sorted(f"{r}/{v}" for r, v in _repeated(pairs))
     if dup:
         say(f"duplicate variant(s): {', '.join(dup)}")
     stray = sorted({r for r, _ in pairs if r not in scenario.claims})
     if stray:
         say(f"variant(s) for unclaimed requirement(s): {', '.join(stray)}")
 
-    problems += fault_problems(scenario, scenario.faults)
+    for fault in scenario.faults:
+        problem = fault_problem(fault, len(scenario.rules), contents, scenario.auth_mode)
+        if problem:
+            say(problem)
     return problems
 
 
-def fault_problems(scenario: Scenario, faults: Sequence[Fault]) -> list[str]:
-    """Why each of `faults` cannot apply to the scenario's product."""
-    file_ids = {f.file_id for f in scenario.files}
-    found = (fault_problem(f, len(scenario.rules), file_ids, scenario.auth_mode) for f in faults)
-    return [p for p in found if p]
+def _repeated(items: Iterable[Hashable]) -> list:
+    """The items that occur more than once, each listed once."""
+    return [item for item, count in Counter(items).items() if count > 1]
 
 
 def check_scenario(scenario: Scenario) -> None:

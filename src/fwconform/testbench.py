@@ -14,12 +14,13 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import (
     EmptySegment,
     InapplicableRule,
     InsufficientAttemptCoverage,
+    NoMonitoredFiles,
     OverlappingSegments,
     UnknownHost,
 )
@@ -97,7 +98,6 @@ class Testbench:
             Segment.EXTERNAL: [],
             Segment.INTERNAL: [],
         }
-        self.capturing = True
         self.rng = random.Random(seed)
         self._tag = 0
         self._console_attempts: dict[int, int] = {}
@@ -108,9 +108,8 @@ class Testbench:
         return self._tag
 
     def _console_sink(self, packet: Packet, attempt_index: int) -> None:
-        if self.capturing:
-            self.taps[Segment.INTERNAL].append(packet)
-            self._console_attempts[packet.payload_tag] = attempt_index
+        self.taps[Segment.INTERNAL].append(packet)
+        self._console_attempts[packet.payload_tag] = attempt_index
 
     def host(self, name: str) -> Host:
         try:
@@ -132,7 +131,7 @@ def build_testbench(
     files: Sequence[FileArtifact] = (),
     auth_mode: AuthMode = AuthMode.REMOTE,
     management: Address | None = None,
-    faults: Sequence = (),
+    faults: Sequence[Fault] = (),
     seed: int = 0,
 ) -> Testbench:
     """Assemble the two segments around a freshly configured product."""
@@ -154,7 +153,7 @@ def build_testbench(
         files=files,
         auth_mode=auth_mode,
         management=management,
-        faults=[Fault.parse(f) if isinstance(f, str) else f for f in faults],
+        faults=faults,
     )
     return Testbench(external, internal, fw, seed=seed)
 
@@ -202,10 +201,8 @@ def generate_packets(
     for spec in traffic:
         packet = _build_packet(bench, spec)
         packets.append(packet)
-        if bench.capturing:
-            bench.taps[Segment.EXTERNAL].append(packet)
-        decision = bench.fw.filter_packet(packet)
-        if decision is Decision.FORWARDED and bench.capturing:
+        bench.taps[Segment.EXTERNAL].append(packet)
+        if bench.fw.filter_packet(packet) is Decision.FORWARDED:
             bench.taps[Segment.INTERNAL].append(packet)
     return tuple(packets)
 
@@ -317,6 +314,11 @@ def _default_attempts(accounts: Sequence[AdminAccount]) -> list[tuple[str, str]]
     ]
 
 
+def account_problem(accounts: Sequence[AdminAccount]) -> str | None:
+    """Why a sign-on run has no account to sign on to, or None."""
+    return None if accounts else "no accounts registered"
+
+
 def attempt_coverage_problem(
     attempts: Sequence[tuple[str, str]], accounts: Sequence[AdminAccount]
 ) -> str | None:
@@ -351,7 +353,7 @@ def _screening_probes(bench: Testbench, stage: str) -> list[tuple[str, str, str,
             ingress=Segment.EXTERNAL,
         )
         decision = bench.fw.filter_packet(packet)
-        if decision is Decision.FORWARDED and bench.capturing:
+        if decision is Decision.FORWARDED:
             bench.taps[Segment.INTERNAL].append(packet)
         probes.append((stage, rule.src, rule.dst, decision.value))
     return probes
@@ -373,15 +375,15 @@ def run_auth_procedure(
     if accounts is not None:
         bench.fw.activate_auth(accounts)
     registered = bench.fw.accounts
-    if not registered:
-        raise InsufficientAttemptCoverage("no administrator accounts registered")
+    problem = account_problem(registered)
+    if problem:
+        raise InsufficientAttemptCoverage(problem)
     tried = list(attempts) if attempts is not None else _default_attempts(registered)
     problem = attempt_coverage_problem(tried, registered)
     if problem:
         raise InsufficientAttemptCoverage(problem)
     mode = bench.fw.auth_mode
     bench.reset_taps()
-    bench.capturing = mode is AuthMode.REMOTE
     mark = len(bench.fw.export_journal())
     probes = _screening_probes(bench, "before")
     results = tuple(
@@ -392,7 +394,6 @@ def run_auth_procedure(
     journal = bench.fw.export_journal()[mark:]
     captures = tuple(bench.taps[Segment.INTERNAL]) if mode is AuthMode.REMOTE else ()
     findings = scan_for_plaintext_credentials(captures, registered, bench._console_attempts)
-    bench.capturing = True
     return AuthEvidence(
         mode=mode,
         accounts=tuple(registered),
@@ -459,6 +460,11 @@ class IntegrityEvidence:
     journal: tuple[JournalEntry, ...]
 
 
+def monitored_file_problem(files: Collection[object]) -> str | None:
+    """Why an integrity run has no file to watch, or None."""
+    return None if files else "no files to monitor"
+
+
 def run_integrity_procedure(
     bench: Testbench, mutations: Sequence[Mutation] = ()
 ) -> IntegrityEvidence:
@@ -468,8 +474,9 @@ def run_integrity_procedure(
     happens to restore the original content counts as unmodified.
     """
     fw = bench.fw
-    if not fw.files:
-        raise ValueError("no monitored files on the product")
+    problem = monitored_file_problem(fw.files)
+    if problem:
+        raise NoMonitoredFiles(problem)
     fw.activate_integrity()
     before = {fid: artifact.content for fid, artifact in fw.files.items()}
     for mutation in mutations:

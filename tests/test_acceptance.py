@@ -284,8 +284,9 @@ def test_4_signon_biconditional(capfd):
         assert evidence.findings == ()
         assert all(r.bit == 1 for r in evaluate_auth_criteria(evidence))
 
+        leak = (Fault.parse("leak_credentials"),)
         leaky_bench = build_testbench(
-            EXT, INT, rules=rules, accounts=accounts, faults=("leak_credentials",), seed=11
+            EXT, INT, rules=rules, accounts=accounts, faults=leak, seed=11
         )
         leaky = run_auth_procedure(leaky_bench, accounts, attempts)
         assert len(leaky.findings) >= 1
@@ -321,7 +322,8 @@ def test_5_integrity_matching(capfd):
             (row,) = evaluate_integrity_criteria(evidence)
             assert row.bit == 1
 
-            blind = run_integrity_procedure(fresh(("blind_integrity:" + blinded,)), mutations)
+            blind_fault = Fault.parse("blind_integrity:" + blinded)
+            blind = run_integrity_procedure(fresh((blind_fault,)), mutations)
             (row,) = evaluate_integrity_criteria(blind)
             assert row.bit == int(not truth[blinded])
             subsets += 1

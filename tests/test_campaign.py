@@ -2,11 +2,24 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fwconform.campaign import child_seed, run_campaign
-from fwconform.errors import FwconformError, InapplicableRule, ScenarioValidationError
-from fwconform.firewall import Fault
-from fwconform.scenario import load_scenario, parse_scenario, validate_scenario
+from fwconform.errors import FwconformError, Infeasible, ScenarioValidationError
+from fwconform.firewall import (
+    AdminAccount,
+    Address,
+    AuthMode,
+    Fault,
+    FileArtifact,
+    FilterRule,
+    Mutation,
+    RuleAction,
+)
+from fwconform.optimizer import ProcedureVariant
+from fwconform.scenario import Scenario, load_scenario, parse_scenario, validate_scenario
+from fwconform.testbench import Host, TrafficSpec
 
 REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference.scn"
 
@@ -64,15 +77,17 @@ def test_explicit_fault_list_replaces_the_scenario_one():
 
 
 def test_runtime_failures_name_the_procedure():
-    # Claims r1-fields against a rule set with no field constraint; the
-    # validator would refuse this, so feed the campaign directly.
+    # Claims r1-fields against a rule set with no field constraint, built in
+    # code past the parser: the campaign refuses it before any procedure
+    # runs, with the validator's own problem list.
     scenario = replace(
         parse_scenario(MINIMAL),
         claims=("r1-fields",),
         requirements=("r1-fields",),
     )
-    with pytest.raises(InapplicableRule, match=r"procedure demo/r1-fields: "):
+    with pytest.raises(ScenarioValidationError) as caught:
         run_campaign(scenario)
+    assert caught.value.problems == ["r1-fields claimed but no rule constrains proto or ttl"]
 
 
 @pytest.mark.parametrize(
@@ -147,10 +162,12 @@ _MACS = MINIMAL.replace(
             "attempt list must mix registered and unregistered identifiers"
             " and passwords in all four combinations",
         ),
+        (MINIMAL.replace("claims r1", "claims r2"), "r2 claimed but no accounts registered"),
+        (MINIMAL.replace("claims r1", "claims r3"), "r3 claimed but no files to monitor"),
     ],
     ids=[
         "link-layer", "filter-fields", "auth", "integrity-trigger",
-        "link-addresses", "field-rule", "attempt-coverage",
+        "link-addresses", "field-rule", "attempt-coverage", "accounts", "files",
     ],
 )
 def test_validate_and_run_campaign_give_one_text_per_precondition(scenario_text, problem):
@@ -160,3 +177,294 @@ def test_validate_and_run_campaign_give_one_text_per_precondition(scenario_text,
         run_campaign(scenario)
     owner_text = problem.split(" claimed but ", 1)[-1]
     assert owner_text in str(caught.value)
+
+
+_BASE = parse_scenario(MINIMAL)
+_TARGET = _BASE.internal[0]
+_LINKED = {
+    "external": (Host("probe", Address("198.51.100.10", "02:00:5e:10:00:01")),),
+    "internal": (Host("target", Address("203.0.113.20", "02:00:5e:20:00:01")),),
+}
+_ROOT = (AdminAccount("root", "topsecret"),)
+
+
+def _claiming(claim, **changes):
+    return dict(claims=(claim,), requirements=(claim,), **changes)
+
+
+# One scenario built in code per rule `validate_scenario` states, with a
+# problem it must report.
+_REFUSED = {
+    "no-name": (dict(name=""), "profile has no name"),
+    "no-claims": (dict(claims=(), requirements=()), "profile claims no requirements"),
+    "duplicate-claims": (dict(claims=("r1", "r1")), "duplicate claim ids"),
+    "duplicate-listed": (dict(requirements=("r1", "r1")), "duplicate requirement ids listed"),
+    "unknown-claim": (
+        dict(claims=("r1", "r9"), requirements=("r1", "r9")),
+        "unknown requirement id(s) claimed: r9",
+    ),
+    "unknown-listed": (
+        dict(requirements=("r1", "r9")), "unknown requirement id(s) listed: r9"
+    ),
+    "claim-outside-list": (
+        dict(requirements=()), "claim(s) outside the requirement list: r1"
+    ),
+    "negative-seed": (dict(seed=-1), "seed must be nonnegative: -1"),
+    "negative-budget": (dict(budget=-1), "budget must be nonnegative: -1"),
+    "link-layer-off": (
+        _claiming("r1-link", link_layer=False, **_LINKED),
+        "r1-link claimed but link-layer is off",
+    ),
+    "filter-fields": (
+        _claiming(
+            "r1-fields",
+            filter_fields=("ttl",),
+            rules=(FilterRule(RuleAction.ALLOW, "probe", "target", proto=6),),
+        ),
+        "r1-fields claimed but filter-fields lacks proto",
+    ),
+    "auth-none": (
+        _claiming("r2", auth_mode=None, accounts=_ROOT), "r2 claimed but auth is none"
+    ),
+    "integrity-trigger-off": (
+        _claiming("r3", integrity_trigger=False, files=(FileArtifact("a", b"x"),)),
+        "r3 claimed but integrity-trigger is off",
+    ),
+    "link-addresses": (
+        _claiming("r1-link"), "r1-link claimed but host(s) without link address: probe, target"
+    ),
+    "field-rule": (
+        _claiming("r1-fields"), "r1-fields claimed but no rule constrains proto or ttl"
+    ),
+    "no-accounts": (_claiming("r2"), "r2 claimed but no accounts registered"),
+    "no-files": (_claiming("r3"), "r3 claimed but no files to monitor"),
+    "no-external": (dict(external=()), "no external hosts"),
+    "no-internal": (dict(internal=()), "no internal hosts"),
+    "duplicate-host-name": (
+        dict(internal=(_TARGET, Host("probe", Address("203.0.113.21")))),
+        "duplicate host name(s): probe",
+    ),
+    "address-twice": (
+        dict(internal=(_TARGET, Host("mirror", Address("203.0.113.20")))),
+        "host address(es) used twice: 203.0.113.20",
+    ),
+    "rule-unknown-host": (
+        dict(rules=(FilterRule(RuleAction.ALLOW, "probe", "ghost"),)),
+        "rule 1: destination 'ghost' is not an internal host",
+    ),
+    "rule-inside-out": (
+        dict(rules=_BASE.rules + (FilterRule(RuleAction.DENY, "target", "probe", order=1),)),
+        "rule 2: source 'target' is not an external host",
+    ),
+    "traffic-inside-out": (
+        dict(traffic=(TrafficSpec("target", "probe"),)),
+        "packet 1: source 'target' is not an external host",
+    ),
+    "traffic-unknown-host": (
+        dict(traffic=(TrafficSpec("ghost", "target"),)),
+        "packet 1: source 'ghost' is not an external host",
+    ),
+    "empty-traffic": (dict(traffic=()), "traffic list is empty"),
+    "duplicate-account": (
+        _claiming("r2", accounts=_ROOT + (AdminAccount("root", "other"),)),
+        "duplicate account identifier(s): root",
+    ),
+    "attempt-coverage": (
+        _claiming("r2", accounts=_ROOT, attempts=(("root", "topsecret"),)),
+        "attempt list must mix registered and unregistered identifiers"
+        " and passwords in all four combinations",
+    ),
+    "duplicate-file": (
+        _claiming("r3", files=(FileArtifact("a", b"x"), FileArtifact("a", b"y"))),
+        "duplicate file id(s): a",
+    ),
+    "mutation-unknown-file": (
+        _claiming("r3", files=(FileArtifact("a", b"x"),), mutations=(Mutation("ghost", "none"),)),
+        "mutation 1: unknown file 'ghost'",
+    ),
+    "flip-past-end": (
+        _claiming("r3", files=(FileArtifact("a", b"x"),), mutations=(Mutation("a", "flip", 5),)),
+        "mutation 1: flip offset 5 beyond end of a (1 bytes)",
+    ),
+    "duplicate-variant": (
+        dict(variants=(ProcedureVariant("r1", "a", 1, 0),) * 2),
+        "duplicate variant(s): r1/a",
+    ),
+    "stray-variant": (
+        dict(variants=(ProcedureVariant("r2", "a", 1, 0),)),
+        "variant(s) for unclaimed requirement(s): r2",
+    ),
+}
+
+
+@pytest.mark.parametrize("changes, problem", _REFUSED.values(), ids=_REFUSED.keys())
+def test_run_campaign_refuses_what_validate_refuses(changes, problem):
+    scenario = replace(_BASE, **changes)
+    problems = validate_scenario(scenario)
+    assert problem in problems
+    with pytest.raises(ScenarioValidationError) as caught:
+        run_campaign(scenario)
+    assert caught.value.problems == problems
+
+
+# Small scenarios built in code, every value one the parser could produce.
+# About half draw one flaw: the part it names is drawn from values that may
+# break the rules about it, every other part is drawn well-formed.  One flaw
+# at a time puts scenarios right at each rule's edge, where a check that
+# `validate` lacks would let a broken scenario through to the run.
+_FLAWS = (
+    "name", "claims", "requirements", "capabilities", "seed", "hosts", "links", "endpoints",
+    "traffic", "accounts", "attempts", "files", "variants", "budget", "faults",
+)
+_REAL = ["r1", "r1-link", "r1-fields", "r2", "r3"]
+_MACS = st.none() | st.sampled_from(["02:00:00:00:00:01", "02:00:00:00:00:02"])
+_PROTOS = st.none() | st.sampled_from([6, 17])
+_TTLS = st.none() | st.tuples(st.integers(0, 64), st.integers(64, 255))
+_IDS = st.sampled_from(["root", "ops"])
+_PASSWORDS = st.sampled_from(["topsecret", "hunter two"])
+_GOOD_FAULTS = ["ignore_field:ttl", "skip_journal:pass_denied", "accept_any_password"]
+_BAD_FAULTS = ["invert_rule:3", "leak_credentials", "blind_integrity:g"]
+
+
+@st.composite
+def _scenarios(draw):
+    flawed = draw(st.none() | st.sampled_from(_FLAWS))
+
+    def pick(part, good, bad):
+        return draw(bad if part == flawed else good)
+
+    def segment(names, net, mac):
+        def host(i):
+            linked = pick("links", st.just(True), st.booleans())
+            return Host(names[i], Address(f"{net}{i + 1}", f"{mac}{i + 1}" if linked else None))
+
+        indexes = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2, unique=True))
+        return tuple(host(i) for i in indexes)
+
+    claims = tuple(
+        pick(
+            "claims",
+            st.lists(st.sampled_from(_REAL), min_size=1, max_size=3, unique=True),
+            st.lists(st.sampled_from(_REAL + ["r9"]), max_size=3),
+        )
+    )
+    external = segment(["e1", "e2"], "198.51.100.", "02:00:00:00:01:0")
+    internal = segment(["i1", "i2"], "203.0.113.", "02:00:00:00:02:0")
+    # A host that repeats an outside host's name and address.
+    internal += pick("hosts", st.just(()), st.just(external[:1]))
+    ends = st.tuples(
+        st.sampled_from([h.name for h in external]), st.sampled_from([h.name for h in internal])
+    )
+    rules = []
+    for order in range(draw(st.integers(0, 3))):
+        src, dst = pick("endpoints", ends, st.tuples(st.just("i1"), st.just("ghost")))
+        ttl = draw(_TTLS)
+        rules.append(
+            FilterRule(
+                draw(st.sampled_from(list(RuleAction))), src, dst,
+                src_link=draw(_MACS), dst_link=draw(_MACS), proto=draw(_PROTOS),
+                ttl_min=ttl and ttl[0], ttl_max=ttl and ttl[1], order=order,
+            )
+        )
+    traffic = None
+    if draw(st.booleans()):
+        traffic = tuple(
+            TrafficSpec(
+                *pick("traffic", ends, ends.map(lambda e: e[::-1])),
+                proto=draw(_PROTOS),
+                ttl=draw(st.none() | st.integers(0, 255)),
+                src_link=draw(_MACS),
+            )
+            for _ in range(pick("traffic", st.integers(1, 3), st.integers(0, 3)))
+        )
+    accounts = tuple(
+        AdminAccount(identifier, draw(_PASSWORDS))
+        for identifier in pick(
+            "accounts",
+            st.lists(_IDS, min_size=1, max_size=2, unique=True),
+            st.lists(_IDS, max_size=2),
+        )
+    )
+    files = tuple(
+        FileArtifact(file_id, b"ab")
+        for file_id in pick(
+            "files", st.just(["f"]) | st.just(["f", "g"]), st.lists(st.just("f"), max_size=2)
+        )
+    )
+    mutation = st.one_of(
+        st.builds(Mutation, st.just("f"), st.just("none")),
+        st.builds(Mutation, st.just("f"), st.just("flip"), st.integers(0, 1)),
+        st.builds(Mutation, st.just("f"), st.just("append"), data=st.just(b"!")),
+        st.builds(Mutation, st.just("f"), st.just("replace"), data=st.just(b"xyz")),
+    )
+    bad_mutation = st.builds(Mutation, st.sampled_from(["f", "h"]), st.just("flip"), st.just(9))
+    variant = st.builds(
+        ProcedureVariant,
+        st.sampled_from(claims or ["r1"]),
+        st.sampled_from(["fast", "cheap"]),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    )
+    return Scenario(
+        name=pick("name", st.just("demo"), st.just("")),
+        claims=claims,
+        requirements=pick(
+            "requirements",
+            st.just(claims),
+            st.just(claims + claims[:1])
+            | st.lists(st.sampled_from(_REAL + ["r9"]), max_size=4).map(tuple),
+        ),
+        auth_mode=pick("capabilities", st.sampled_from(list(AuthMode)), st.none()),
+        link_layer=pick("capabilities", st.just(True), st.booleans()),
+        filter_fields=pick(
+            "capabilities", st.just(("proto", "ttl")), st.sampled_from([(), ("proto",), ("ttl",)])
+        ),
+        integrity_trigger=pick("capabilities", st.just(True), st.booleans()),
+        seed=pick("seed", st.integers(0, 3), st.just(-1)),
+        external=external,
+        internal=internal,
+        rules=tuple(rules),
+        traffic=traffic,
+        accounts=accounts,
+        files=files,
+        mutations=tuple(
+            pick("files", mutation, bad_mutation) for _ in range(draw(st.integers(0, 2)))
+        ),
+        attempts=pick(
+            "attempts",
+            st.none(),
+            st.lists(
+                st.tuples(_IDS | st.just("nobody"), _PASSWORDS | st.just("guess")),
+                min_size=1,
+                max_size=6,
+            ).map(tuple),
+        ),
+        variants=tuple(
+            pick(
+                "variants",
+                st.lists(variant, max_size=3, unique_by=lambda v: (v.requirement_id, v.variant_id)),
+                st.lists(variant | variant.map(lambda v: replace(v, requirement_id="r9")),
+                         max_size=3),
+            )
+        ),
+        budget=pick("budget", st.none() | st.integers(0, 6), st.just(-1)),
+        faults=tuple(
+            Fault.parse(pick("faults", st.sampled_from(_GOOD_FAULTS), st.sampled_from(_BAD_FAULTS)))
+            for _ in range(draw(st.integers(0, 1)))
+        ),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=_scenarios())
+def test_run_campaign_runs_exactly_what_validate_accepts(scenario):
+    problems = validate_scenario(scenario)
+    try:
+        report = run_campaign(scenario)
+    except ScenarioValidationError as exc:
+        assert problems and exc.problems == problems
+    except Infeasible:
+        assert not problems
+    else:
+        assert not problems
+        assert report.campaign.n == len(scenario.requirements)

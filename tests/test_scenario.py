@@ -140,6 +140,17 @@ def test_profile_switches():
     assert validate_scenario(sc) == []
 
 
+def test_negative_seed_and_budget_are_validation_problems():
+    sc = parse_scenario(
+        MINIMAL.replace("claims r1", "claims r1\nseed -3") + "\n[variants]\nbudget -1\n"
+    )
+    assert (sc.seed, sc.budget) == (-3, -1)
+    assert validate_scenario(sc) == [
+        "seed must be nonnegative: -3",
+        "budget must be nonnegative: -1",
+    ]
+
+
 def test_unlimited_budget_keyword():
     sc = parse_scenario(MINIMAL + "\n[variants]\nbudget unlimited\n")
     assert sc.budget is None

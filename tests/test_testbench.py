@@ -4,8 +4,10 @@ from hypothesis import strategies as st
 
 from fwconform.errors import (
     EmptySegment,
+    FwconformError,
     InapplicableRule,
     InsufficientAttemptCoverage,
+    NoMonitoredFiles,
     OverlappingSegments,
     UnknownHost,
 )
@@ -26,8 +28,12 @@ from fwconform.testbench import (
     FilterLevel,
     Host,
     TrafficSpec,
+    account_problem,
+    attempt_coverage_problem,
     build_testbench,
+    filter_level_problem,
     generate_packets,
+    monitored_file_problem,
     run_auth_procedure,
     run_filter_procedure,
     run_integrity_procedure,
@@ -284,3 +290,34 @@ def test_integrity_ground_truth_is_content_change():
 def test_integrity_needs_monitored_files():
     with pytest.raises(ValueError):
         run_integrity_procedure(bench(), [])
+
+
+def test_procedure_errors_carry_the_owner_text():
+    # `validate_scenario` reports these same texts, behind "<claim> claimed but".
+    rules = [allow("198.51.100.10", "203.0.113.20", 0)]
+    bare = [Host("ext1", Address("198.51.100.10"))]
+    cases = [
+        (
+            lambda: run_filter_procedure(build_testbench(bare, INT), rules, FilterLevel.LINK),
+            InapplicableRule,
+            filter_level_problem(FilterLevel.LINK, bare + INT, rules),
+        ),
+        (
+            lambda: run_filter_procedure(bench(rules=rules), rules, FilterLevel.FIELDS),
+            InapplicableRule,
+            filter_level_problem(FilterLevel.FIELDS, EXT + INT, rules),
+        ),
+        (lambda: run_auth_procedure(bench()), InsufficientAttemptCoverage, account_problem(())),
+        (
+            lambda: run_auth_procedure(bench(accounts=ACCOUNTS), attempts=[("x", "y")]),
+            InsufficientAttemptCoverage,
+            attempt_coverage_problem([("x", "y")], ACCOUNTS),
+        ),
+        (lambda: run_integrity_procedure(bench()), NoMonitoredFiles, monitored_file_problem(())),
+    ]
+    for run, error, text in cases:
+        assert text
+        with pytest.raises(error) as caught:
+            run()
+        assert str(caught.value) == text
+        assert isinstance(caught.value, FwconformError)

@@ -9,6 +9,7 @@ from fwconform.errors import IncompleteEvidence
 from fwconform.firewall import (
     AdminAccount,
     Address,
+    Fault,
     FileArtifact,
     FilterRule,
     JournalEntry,
@@ -80,8 +81,13 @@ RULES = [
 ACCOUNTS = [AdminAccount("alice", "s3cret!pass"), AdminAccount("bob", "hunter-two")]
 
 
+def parsed(specs):
+    """Faults from their spec strings, e.g. ``("invert_rule:0",)``."""
+    return [Fault.parse(spec) for spec in specs]
+
+
 def filter_evidence(level=FilterLevel.NETWORK, faults=(), rules=RULES):
-    bench = build_testbench(EXT, INT, rules=rules, faults=faults, seed=5)
+    bench = build_testbench(EXT, INT, rules=rules, faults=parsed(faults), seed=5)
     return run_filter_procedure(bench, rules, level)
 
 
@@ -181,7 +187,7 @@ def test_ttl_blindness_needs_the_field_level_projection():
     ]
 
     def run(level):
-        bench = build_testbench(EXT, INT, rules=RULES, faults=("ignore_field:ttl",), seed=5)
+        bench = build_testbench(EXT, INT, rules=RULES, faults=parsed(["ignore_field:ttl"]), seed=5)
         return bits(evaluate_filter_criteria(run_filter_procedure(bench, RULES, level, traffic)))
 
     assert all(run(FilterLevel.NETWORK).values())
@@ -229,7 +235,7 @@ def test_random_rule_tables_still_satisfy_the_equations(table):
 
 
 def auth_evidence(faults=(), **kw):
-    bench = build_testbench(EXT, INT, rules=RULES, accounts=ACCOUNTS, faults=faults, **kw)
+    bench = build_testbench(EXT, INT, rules=RULES, accounts=ACCOUNTS, faults=parsed(faults), **kw)
     return run_auth_procedure(bench)
 
 
@@ -306,7 +312,7 @@ def test_auth_evaluation_needs_attempts():
 
 def integrity_evidence(faults=()):
     files = [FileArtifact("screen.conf", b"drop yes"), FileArtifact("engine.bin", b"\x7fELF")]
-    bench = build_testbench(EXT, INT, files=files, faults=faults)
+    bench = build_testbench(EXT, INT, files=files, faults=parsed(faults))
     return run_integrity_procedure(bench, [Mutation("screen.conf", "flip", offset=0)])
 
 
