@@ -90,10 +90,10 @@ def run_campaign(scenario: Scenario, faults: Sequence[Fault] | None = None) -> R
         procedure = procedures[req.id]
         bench = _fresh_bench(scenario, req.id, rules)
         if req.kind in FILTER_LEVELS:
-            evidence = run_filter_procedure(bench, rules, FILTER_LEVELS[req.kind], scenario.traffic)
+            evidence = run_filter_procedure(bench, FILTER_LEVELS[req.kind], scenario.traffic)
             criteria = evaluate_filter_criteria(evidence)
         elif req.kind is RequirementKind.ADMIN_AUTH:
-            evidence = run_auth_procedure(bench, scenario.accounts, scenario.attempts)
+            evidence = run_auth_procedure(bench, scenario.attempts)
             criteria = evaluate_auth_criteria(evidence)
         else:
             evidence = run_integrity_procedure(bench, scenario.mutations)

@@ -129,10 +129,7 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(problem, file=sys.stderr)
         return 2
-    except FwconformError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FwconformError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - last-ditch boundary

@@ -47,6 +47,10 @@ class NoMonitoredFiles(FwconformError, ValueError):
     """An integrity run was asked of a product that monitors no files."""
 
 
+class DuplicateEntry(FwconformError, ValueError):
+    """An inventory (rule orders, host names, account ids, file ids) lists a key twice."""
+
+
 class IncompleteEvidence(FwconformError):
     """An evidence bundle is missing one of its required artifacts."""
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 import hashlib
 import ipaddress
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence
 
-from .errors import MechanismInactive, UnknownFile
+from .errors import DuplicateEntry, MechanismInactive, UnknownFile
 
 _MAC_RE = re.compile(r"[0-9a-f]{2}(:[0-9a-f]{2}){5}")
 
@@ -178,6 +179,8 @@ class Mutation:
         if self.kind == "none":
             return content
         if self.kind == "flip":
+            if self.offset < 0:
+                raise ValueError(f"flip offset {self.offset} is negative")
             if self.offset >= len(content):
                 raise ValueError(
                     f"flip offset {self.offset} beyond end of {self.file_id} ({len(content)} bytes)"
@@ -271,6 +274,32 @@ def fault_problem(
     return f"fault {fault.spec_text()}: {problem}"
 
 
+def repeated(items: Iterable[Hashable]) -> list:
+    """The items that occur more than once, each listed once."""
+    return [item for item, count in Counter(items).items() if count > 1]
+
+
+def duplicate_problem(noun: str, keys: Iterable[Hashable]) -> str | None:
+    """``duplicate <noun>: …`` naming each key given more than once, or None."""
+    dup = sorted(repeated(keys))
+    return f"duplicate {noun}: {', '.join(map(str, dup))}" if dup else None
+
+
+def rule_order_problem(rules: Iterable[FilterRule]) -> str | None:
+    """Why the rules have no single first match, or None."""
+    return duplicate_problem("rule order(s)", (r.order for r in rules))
+
+
+def account_id_problem(accounts: Iterable[AdminAccount]) -> str | None:
+    """Why a sign-on could match two accounts, or None."""
+    return duplicate_problem("account identifier(s)", (a.identifier for a in accounts))
+
+
+def file_id_problem(files: Iterable[FileArtifact]) -> str | None:
+    """Why two monitored files share one id, or None."""
+    return duplicate_problem("file id(s)", (f.file_id for f in files))
+
+
 class Firewall:
     """One screening product instance.
 
@@ -281,9 +310,9 @@ class Firewall:
     keeps a pair index: each pair maps to its rules in `order` order, each
     tagged with its position in the whole order-sorted list.  Screening a
     packet scans only its pair's bucket, and a fault that names a rule
-    index (`invert_rule`) still means that global position.  The faults
-    are fixed at construction, so the sets the hot paths consult are
-    worked out once there.
+    index (`invert_rule`) still means that global position.  Rules,
+    accounts, files and faults are all fixed at construction, so the
+    index and the sets the hot paths consult are worked out once there.
     """
 
     def __init__(
@@ -308,18 +337,20 @@ class Firewall:
         self._unjournaled = frozenset(e for e in FILTER_EVENTS if e.value in skipped)
         if self._has_fault(FaultName.OMIT_AUTH_JOURNAL):
             self._unjournaled |= frozenset(AUTH_EVENTS)
+        for problem in (
+            rule_order_problem(rules), account_id_problem(accounts), file_id_problem(files)
+        ):
+            if problem:
+                raise DuplicateEntry(problem)
         self._journal: list[JournalEntry] = []
         self._seq = 0
-        self.set_rules(rules)
-        self._accounts: tuple[AdminAccount, ...] = ()
-        self.activate_auth(accounts)
-        self._files: dict[str, FileArtifact] = {}
-        for artifact in files:
-            if artifact.file_id in self._files:
-                raise ValueError(f"duplicate file id: {artifact.file_id}")
-            self._files[artifact.file_id] = FileArtifact(
-                artifact.file_id, bytes(artifact.content), artifact.baseline_digest
-            )
+        self._buckets: dict[tuple[str, str], list[tuple[int, FilterRule]]] = {}
+        for index, rule in enumerate(sorted(rules, key=lambda r: r.order)):
+            self._buckets.setdefault((rule.src, rule.dst), []).append((index, rule))
+        self._accounts = tuple(accounts)
+        self._files = {
+            a.file_id: FileArtifact(a.file_id, bytes(a.content), a.baseline_digest) for a in files
+        }
         self._baselines_recorded = False
         self._auth_attempt_count = 0
         # Wired up by the testbench so remote sign-on traffic lands on a tap:
@@ -327,31 +358,6 @@ class Firewall:
         self._console: tuple[Callable, Callable, Address] | None = None
 
     # -- configuration ----------------------------------------------------
-
-    def set_rules(self, rules: Sequence[FilterRule]) -> None:
-        ordered = sorted(rules, key=lambda r: r.order)
-        orders = [r.order for r in ordered]
-        if len(set(orders)) != len(orders):
-            raise ValueError("rule orders must be unique")
-        self._rules = tuple(ordered)
-        buckets: dict[tuple[str, str], list[tuple[int, FilterRule]]] = {}
-        for index, rule in enumerate(ordered):
-            buckets.setdefault((rule.src, rule.dst), []).append((index, rule))
-        self._buckets = buckets
-
-    @property
-    def rules(self) -> tuple[FilterRule, ...]:
-        return self._rules
-
-    def activate_auth(self, accounts: Sequence[AdminAccount]) -> None:
-        ids = [a.identifier for a in accounts]
-        if len(set(ids)) != len(ids):
-            raise ValueError("administrator identifiers must be unique")
-        self._accounts = tuple(accounts)
-
-    @property
-    def accounts(self) -> tuple[AdminAccount, ...]:
-        return self._accounts
 
     @property
     def files(self) -> dict[str, FileArtifact]:

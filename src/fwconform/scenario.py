@@ -25,9 +25,8 @@ the first.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Hashable, Iterable, Sequence
+from typing import Sequence
 
 from .errors import ScenarioParseError, ScenarioValidationError
 from .firewall import (
@@ -39,8 +38,12 @@ from .firewall import (
     FilterRule,
     Mutation,
     RuleAction,
+    account_id_problem,
     fault_problem,
+    file_id_problem,
     link_address,
+    repeated,
+    rule_order_problem,
 )
 from .formal import (
     ALL_REQUIREMENTS, Capabilities, FirewallProfile, RequirementKind, capability_problem
@@ -48,7 +51,7 @@ from .formal import (
 from .optimizer import ProcedureVariant
 from .testbench import (
     FILTER_LEVELS, Host, TrafficSpec, account_problem, attempt_coverage_problem,
-    filter_level_problem, monitored_file_problem,
+    filter_level_problem, host_name_problem, monitored_file_problem,
 )
 
 _SECTIONS = (
@@ -433,12 +436,18 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         say("no external hosts")
     if not scenario.internal:
         say("no internal hosts")
-    dup = sorted(_repeated(h.name for h in hosts))
-    if dup:
-        say(f"duplicate host name(s): {', '.join(dup)}")
-    dup = sorted(_repeated(h.address.net for h in hosts))
+    dup = sorted(repeated(h.address.net for h in hosts))
     if dup:
         say(f"host address(es) used twice: {', '.join(dup)}")
+    # The bench and the product own these uniqueness rules and their texts.
+    for problem in (
+        host_name_problem(hosts),
+        rule_order_problem(scenario.rules),
+        account_id_problem(scenario.accounts),
+        file_id_problem(scenario.files),
+    ):
+        if problem:
+            say(problem)
 
     external = {h.name for h in scenario.external}
     internal = {h.name for h in scenario.internal}
@@ -457,18 +466,12 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if spec.dst not in internal:
             say(f"{where}: destination {spec.dst!r} is not an internal host")
 
-    dup = sorted(_repeated(a.identifier for a in scenario.accounts))
-    if dup:
-        say(f"duplicate account identifier(s): {', '.join(dup)}")
     if scenario.attempts is not None and scenario.accounts:
         problem = attempt_coverage_problem(scenario.attempts, scenario.accounts)
         if problem:
             say(problem)
 
     contents = {f.file_id: f.content for f in scenario.files}
-    dup = sorted(_repeated(f.file_id for f in scenario.files))
-    if dup:
-        say(f"duplicate file id(s): {', '.join(dup)}")
     for i, m in enumerate(scenario.mutations):
         where = f"mutation {i + 1}"
         if m.file_id not in contents:
@@ -480,7 +483,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             say(f"{where}: {exc}")
 
     pairs = [(v.requirement_id, v.variant_id) for v in scenario.variants]
-    dup = sorted(f"{r}/{v}" for r, v in _repeated(pairs))
+    dup = sorted(f"{r}/{v}" for r, v in repeated(pairs))
     if dup:
         say(f"duplicate variant(s): {', '.join(dup)}")
     stray = sorted({r for r, _ in pairs if r not in scenario.claims})
@@ -492,11 +495,6 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if problem:
             say(problem)
     return problems
-
-
-def _repeated(items: Iterable[Hashable]) -> list:
-    """The items that occur more than once, each listed once."""
-    return [item for item, count in Counter(items).items() if count > 1]
 
 
 def check_scenario(scenario: Scenario) -> None:

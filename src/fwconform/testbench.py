@@ -2,9 +2,13 @@
 
 The bench models the standard desk setup: an outside segment with probe
 senders, a protected inside segment with receivers and the management
-console, and the product under test between them.  A tap on the inside
-segment records everything the product lets through, which is what the
-verdict stage compares against the rule set.
+console, and the product under test between them.  `build_testbench`
+loads the product once, with the rule set, accounts, files and faults;
+the procedures only drive it.  The bench keeps its own copies of the
+rule set, sorted by `order`, and of the accounts: the verdict stage
+compares the product against these.  The probes sent are the outside
+traffic; a tap on the inside segment records everything the product
+lets through.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from itertools import product
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import (
+    DuplicateEntry,
     EmptySegment,
     InapplicableRule,
     InsufficientAttemptCoverage,
@@ -40,6 +45,7 @@ from .firewall import (
     Packet,
     Segment,
     digest,
+    duplicate_problem,
     split_filter_journal,
 )
 from .formal import RequirementKind
@@ -80,24 +86,27 @@ class TrafficSpec:
 
 
 class Testbench:
-    """Mutable bench state: hosts, the product, taps, and the probe RNG."""
+    """Mutable bench state: hosts, loaded rules and accounts, product, inside tap, probe RNG."""
 
     def __init__(
         self,
         external: Sequence[Host],
         internal: Sequence[Host],
+        rules: Sequence[FilterRule],
+        accounts: Sequence[AdminAccount],
         fw: Firewall,
         seed: int = 0,
     ):
         self.external = tuple(external)
         self.internal = tuple(internal)
-        # Reversed so that, as in a front-to-back scan, the first host of a name wins.
-        self._hosts = {h.name: h for h in reversed(self.external + self.internal)}
+        self._hosts = {h.name: h for h in self.external + self.internal}
+        # The rule set (in `order` order) and the accounts as loaded.
+        # Evidence and probes read these copies, never the product's, so
+        # the verdict's expected side does not depend on the product.
+        self.rules = tuple(sorted(rules, key=lambda r: r.order))
+        self.accounts = tuple(accounts)
         self.fw = fw
-        self.taps: dict[Segment, list[Packet]] = {
-            Segment.EXTERNAL: [],
-            Segment.INTERNAL: [],
-        }
+        self.inside: list[Packet] = []
         self.rng = random.Random(seed)
         self._tag = 0
         self._console_attempts: dict[int, int] = {}
@@ -108,7 +117,7 @@ class Testbench:
         return self._tag
 
     def _console_sink(self, packet: Packet, attempt_index: int) -> None:
-        self.taps[Segment.INTERNAL].append(packet)
+        self.inside.append(packet)
         self._console_attempts[packet.payload_tag] = attempt_index
 
     def host(self, name: str) -> Host:
@@ -117,10 +126,14 @@ class Testbench:
         except KeyError:
             raise UnknownHost(f"no host named {name!r} on the bench") from None
 
-    def reset_taps(self) -> None:
-        self.taps[Segment.EXTERNAL].clear()
-        self.taps[Segment.INTERNAL].clear()
+    def reset_tap(self) -> None:
+        self.inside.clear()
         self._console_attempts.clear()
+
+
+def host_name_problem(hosts: Iterable[Host]) -> str | None:
+    """Why a host name would not say which host it means, or None."""
+    return duplicate_problem("host name(s)", (h.name for h in hosts))
 
 
 def build_testbench(
@@ -134,14 +147,14 @@ def build_testbench(
     faults: Sequence[Fault] = (),
     seed: int = 0,
 ) -> Testbench:
-    """Assemble the two segments around a freshly configured product."""
+    """Assemble the two segments around a product loaded with the rules and accounts."""
     if not external:
         raise EmptySegment("outside segment has no hosts")
     if not internal:
         raise EmptySegment("protected segment has no hosts")
-    names = [h.name for h in external] + [h.name for h in internal]
-    if len(set(names)) != len(names):
-        raise ValueError("host names must be unique across the bench")
+    problem = host_name_problem([*external, *internal])
+    if problem:
+        raise DuplicateEntry(problem)
     shared = {h.address.net for h in external} & {h.address.net for h in internal}
     if shared:
         raise OverlappingSegments(
@@ -155,7 +168,7 @@ def build_testbench(
         management=management,
         faults=faults,
     )
-    return Testbench(external, internal, fw, seed=seed)
+    return Testbench(external, internal, rules, accounts, fw, seed=seed)
 
 
 def _build_packet(bench: Testbench, spec: TrafficSpec) -> Packet:
@@ -187,9 +200,9 @@ def generate_packets(
 
     Without an explicit traffic list this is one packet per
     outside-to-inside host pair, in topology order, with default field
-    values; an explicit list replaces that entirely.  Each packet lands
-    on the outside tap, is offered to the product, and lands on the
-    inside tap too when it comes through.  The medium itself never
+    values; an explicit list replaces that entirely.  Each packet is
+    offered to the product and lands on the inside tap when it comes
+    through; the packets sent are returned.  The medium itself never
     loses, reorders or duplicates anything.
     """
     if traffic is None:
@@ -201,9 +214,8 @@ def generate_packets(
     for spec in traffic:
         packet = _build_packet(bench, spec)
         packets.append(packet)
-        bench.taps[Segment.EXTERNAL].append(packet)
         if bench.fw.filter_packet(packet) is Decision.FORWARDED:
-            bench.taps[Segment.INTERNAL].append(packet)
+            bench.inside.append(packet)
     return tuple(packets)
 
 
@@ -239,26 +251,22 @@ def filter_level_problem(
 
 def run_filter_procedure(
     bench: Testbench,
-    rules: Sequence[FilterRule],
     level: FilterLevel = FilterLevel.NETWORK,
     traffic: Sequence[TrafficSpec] | None = None,
 ) -> FilterEvidence:
-    """Load the rule set, replay probe traffic, and collect the evidence."""
-    problem = filter_level_problem(level, bench.external + bench.internal, rules)
+    """Replay probe traffic through the loaded product and collect the evidence."""
+    problem = filter_level_problem(level, bench.external + bench.internal, bench.rules)
     if problem:
         raise InapplicableRule(problem)
-    ordered = sorted(rules, key=lambda r: r.order)
-    bench.fw.set_rules(ordered)
-    bench.reset_taps()
+    bench.reset_tap()
     mark = len(bench.fw.export_journal())
-    generate_packets(bench, traffic)
-    run_journal = bench.fw.export_journal()[mark:]
-    allowed, denied = split_filter_journal(run_journal)
+    packets = generate_packets(bench, traffic)
+    allowed, denied = split_filter_journal(bench.fw.export_journal()[mark:])
     return FilterEvidence(
         level=level,
-        rules=tuple(ordered),
-        packet_in=tuple(bench.taps[Segment.EXTERNAL]),
-        packet_out=tuple(bench.taps[Segment.INTERNAL]),
+        rules=bench.rules,
+        packet_in=packets,
+        packet_out=tuple(bench.inside),
         journal_allowed=allowed,
         journal_denied=denied,
     )
@@ -338,9 +346,8 @@ def _screening_probes(bench: Testbench, stage: str) -> list[tuple[str, str, str,
     # screening while sign-on sessions are open; forwarded probes land on
     # the inside tap like any other delivered traffic.
     probes = []
-    rules = bench.fw.rules
     for wanted in ("allow", "deny"):
-        rule = next((r for r in rules if r.action.value == wanted), None)
+        rule = next((r for r in bench.rules if r.action.value == wanted), None)
         if rule is None:
             continue
         packet = Packet(
@@ -354,17 +361,15 @@ def _screening_probes(bench: Testbench, stage: str) -> list[tuple[str, str, str,
         )
         decision = bench.fw.filter_packet(packet)
         if decision is Decision.FORWARDED:
-            bench.taps[Segment.INTERNAL].append(packet)
+            bench.inside.append(packet)
         probes.append((stage, rule.src, rule.dst, decision.value))
     return probes
 
 
 def run_auth_procedure(
-    bench: Testbench,
-    accounts: Sequence[AdminAccount] | None = None,
-    attempts: Sequence[tuple[str, str]] | None = None,
+    bench: Testbench, attempts: Sequence[tuple[str, str]] | None = None
 ) -> AuthEvidence:
-    """Register accounts, try sign-ons around screening probes, capture, journal.
+    """Try sign-ons to the loaded accounts around screening probes, capture, journal.
 
     The default attempt list tries the first account's credentials straight,
     then each of the three ways to get them wrong, then a repeat sign-on.
@@ -372,9 +377,7 @@ def run_auth_procedure(
     the product keeps screening while a session is open; they carry no
     acceptance weight.
     """
-    if accounts is not None:
-        bench.fw.activate_auth(accounts)
-    registered = bench.fw.accounts
+    registered = bench.accounts
     problem = account_problem(registered)
     if problem:
         raise InsufficientAttemptCoverage(problem)
@@ -383,7 +386,7 @@ def run_auth_procedure(
     if problem:
         raise InsufficientAttemptCoverage(problem)
     mode = bench.fw.auth_mode
-    bench.reset_taps()
+    bench.reset_tap()
     mark = len(bench.fw.export_journal())
     probes = _screening_probes(bench, "before")
     results = tuple(
@@ -392,11 +395,11 @@ def run_auth_procedure(
     )
     probes += _screening_probes(bench, "after")
     journal = bench.fw.export_journal()[mark:]
-    captures = tuple(bench.taps[Segment.INTERNAL]) if mode is AuthMode.REMOTE else ()
+    captures = tuple(bench.inside) if mode is AuthMode.REMOTE else ()
     findings = scan_for_plaintext_credentials(captures, registered, bench._console_attempts)
     return AuthEvidence(
         mode=mode,
-        accounts=tuple(registered),
+        accounts=registered,
         attempts=results,
         probes=tuple(probes),
         captures=captures,

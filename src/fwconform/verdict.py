@@ -133,7 +133,7 @@ def evaluate_filter_criteria(evidence: FilterEvidence) -> tuple[CriterionResult,
     records plain address pairs, against the delivered/blocked traffic.
     """
     if not evidence.packet_in:
-        raise IncompleteEvidence("no probe traffic on the outside tap")
+        raise IncompleteEvidence("no probe traffic sent")
     level = evidence.level
     out_tags = {p.payload_tag for p in evidence.packet_out}
     blocked = tuple(p for p in evidence.packet_in if p.payload_tag not in out_tags)
@@ -151,55 +151,26 @@ def evaluate_filter_criteria(evidence: FilterEvidence) -> tuple[CriterionResult,
     default_denied = sum(1 for _, action in expected if action is None)
     actual_forward = PairSet(_level_tuple(p, level) for p in evidence.packet_out)
     actual_drop = PairSet(_level_tuple(p, level) for p in blocked)
-
-    results = []
-    bit = int(actual_forward == expect_forward)
-    results.append(
-        CriterionResult(
-            FORWARD_MATCHES_ALLOW,
-            bit,
-            f"{len(actual_forward)} delivered tuple(s)"
-            if bit
-            else actual_forward.mismatch(expect_forward),
-        )
-    )
-    bit = int(actual_drop == expect_drop)
     note = f", {default_denied} probe(s) falling to the default stance" if default_denied else ""
-    results.append(
-        CriterionResult(
-            DROP_MATCHES_DENY,
-            bit,
-            f"{len(actual_drop)} blocked tuple(s){note}"
-            if bit
-            else actual_drop.mismatch(expect_drop) + note,
-        )
-    )
 
     # Journal entries carry (sender, recipient) pairs whatever the level.
     out_pairs = PairSet(project(p) for p in evidence.packet_out)
     blocked_pairs = PairSet(project(p) for p in blocked)
     logged_allowed = _journal_pairs(evidence.journal_allowed)
     logged_denied = _journal_pairs(evidence.journal_denied)
-    bit = int(logged_allowed == out_pairs)
-    results.append(
-        CriterionResult(
-            JOURNAL_MATCHES_FORWARD,
-            bit,
-            f"{len(logged_allowed)} journaled pass pair(s)"
-            if bit
-            else logged_allowed.mismatch(out_pairs),
-        )
+
+    # (label, actual, expected, what a passing detail counts, suffix of either detail)
+    rows = (
+        (FORWARD_MATCHES_ALLOW, actual_forward, expect_forward, "delivered tuple(s)", ""),
+        (DROP_MATCHES_DENY, actual_drop, expect_drop, "blocked tuple(s)", note),
+        (JOURNAL_MATCHES_FORWARD, logged_allowed, out_pairs, "journaled pass pair(s)", ""),
+        (JOURNAL_MATCHES_DROP, logged_denied, blocked_pairs, "journaled block pair(s)", ""),
     )
-    bit = int(logged_denied == blocked_pairs)
-    results.append(
-        CriterionResult(
-            JOURNAL_MATCHES_DROP,
-            bit,
-            f"{len(logged_denied)} journaled block pair(s)"
-            if bit
-            else logged_denied.mismatch(blocked_pairs),
-        )
-    )
+    results = []
+    for label, got, want, noun, suffix in rows:
+        bit = int(got == want)
+        detail = f"{len(got)} {noun}" if bit else got.mismatch(want)
+        results.append(CriterionResult(label, bit, detail + suffix))
     return tuple(results)
 
 

@@ -232,7 +232,7 @@ def test_2_screening_oracle_equivalence(capfd):
                 else (FilterLevel.NETWORK, FilterLevel.LINK)
             )
             bench = build_testbench(ext, int_, rules=rules, seed=rng.randrange(2**32))
-            evidence = run_filter_procedure(bench, rules, level, traffic)
+            evidence = run_filter_procedure(bench, level, traffic)
             forwarded = {p.payload_tag for p in evidence.packet_out}
             assert forwarded == oracle_forwarded_tags(rules, evidence.packet_in)
             results = evaluate_filter_criteria(evidence)
@@ -276,7 +276,7 @@ def test_4_signon_biconditional(capfd):
         rules = [FilterRule(RuleAction.ALLOW, "198.51.100.10", "203.0.113.20", order=0)]
 
         bench = build_testbench(EXT, INT, rules=rules, accounts=accounts, seed=11)
-        evidence = run_auth_procedure(bench, accounts, attempts)
+        evidence = run_auth_procedure(bench, attempts)
         assert len(evidence.attempts) == 36
         for attempt in evidence.attempts:
             expected = int((attempt.identifier, attempt.password) in registered)
@@ -288,7 +288,7 @@ def test_4_signon_biconditional(capfd):
         leaky_bench = build_testbench(
             EXT, INT, rules=rules, accounts=accounts, faults=leak, seed=11
         )
-        leaky = run_auth_procedure(leaky_bench, accounts, attempts)
+        leaky = run_auth_procedure(leaky_bench, attempts)
         assert len(leaky.findings) >= 1
         results = evaluate_auth_criteria(leaky)
         assert next(r for r in results if r.label == NO_PLAINTEXT_CREDENTIALS).bit == 0

@@ -265,6 +265,7 @@ _REFUSED = {
         "packet 1: source 'ghost' is not an external host",
     ),
     "empty-traffic": (dict(traffic=()), "traffic list is empty"),
+    "duplicate-rule-order": (dict(rules=_BASE.rules * 2), "duplicate rule order(s): 0"),
     "duplicate-account": (
         _claiming("r2", accounts=_ROOT + (AdminAccount("root", "other"),)),
         "duplicate account identifier(s): root",
@@ -285,6 +286,10 @@ _REFUSED = {
     "flip-past-end": (
         _claiming("r3", files=(FileArtifact("a", b"x"),), mutations=(Mutation("a", "flip", 5),)),
         "mutation 1: flip offset 5 beyond end of a (1 bytes)",
+    ),
+    "negative-flip": (
+        _claiming("r3", files=(FileArtifact("a", b"x"),), mutations=(Mutation("a", "flip", -1),)),
+        "mutation 1: flip offset -1 is negative",
     ),
     "duplicate-variant": (
         dict(variants=(ProcedureVariant("r1", "a", 1, 0),) * 2),

@@ -32,6 +32,16 @@ def test_missing_file_is_an_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["validate", "plan", "run", "report"])
+def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, verb):
+    bad = tmp_path / "latin.txt"
+    bad.write_bytes(b'"\xff"' if verb == "report" else b"[profile]\nname \xff\xfe\n")
+    assert cli.main([verb, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "utf-8" in err
+    assert "internal error" not in err
+
+
 def test_plan_prints_the_frozen_reference_plan(capsys):
     assert cli.main(["plan", REFERENCE]) == 0
     out = capsys.readouterr().out

@@ -50,12 +50,13 @@ def inject_fault(fw, fault):
 
     The copy is otherwise identical, including journal state and baselines.
     """
-    problem = fault_problem(fault, len(fw.rules), fw.files, fw.auth_mode)
+    rules = [rule for bucket in fw._buckets.values() for _, rule in bucket]
+    problem = fault_problem(fault, len(rules), fw.files, fw.auth_mode)
     if problem:
         raise InapplicableFault(problem)
     copy = Firewall(
-        rules=fw.rules,
-        accounts=fw.accounts,
+        rules=rules,
+        accounts=fw._accounts,
         files=list(fw.files.values()),
         auth_mode=fw.auth_mode,
         management=fw.management,
@@ -225,8 +226,11 @@ def test_mutation_kinds():
     assert Mutation("f", "append", data=b"xy").apply(b"ab") == b"abxy"
     assert Mutation("f", "replace", data=b"z").apply(b"ab") == b"z"
     assert Mutation("f", "none").apply(b"ab") == b"ab"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"flip offset 9 beyond end of f \(2 bytes\)"):
         Mutation("f", "flip", offset=9).apply(b"ab")
+    # Python would index from the end and edit the last byte.
+    with pytest.raises(ValueError, match="flip offset -1 is negative"):
+        Mutation("f", "flip", offset=-1).apply(b"ab")
 
 
 # -- faults ---------------------------------------------------------------------

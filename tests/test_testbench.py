@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwconform.errors import (
+    DuplicateEntry,
     EmptySegment,
     FwconformError,
     InapplicableRule,
@@ -22,7 +23,9 @@ from fwconform.firewall import (
     Mutation,
     Packet,
     RuleAction,
-    Segment,
+    account_id_problem,
+    file_id_problem,
+    rule_order_problem,
 )
 from fwconform.testbench import (
     FilterLevel,
@@ -33,6 +36,7 @@ from fwconform.testbench import (
     build_testbench,
     filter_level_problem,
     generate_packets,
+    host_name_problem,
     monitored_file_problem,
     run_auth_procedure,
     run_filter_procedure,
@@ -86,7 +90,7 @@ def test_unknown_host_lookup():
 
 
 def test_default_traffic_is_the_cartesian_product_in_topology_order():
-    b = bench()
+    b = bench(rules=[allow("198.51.100.10", "203.0.113.20", 0)])
     packets = generate_packets(b)
     pairs = [(p.src.net, p.dst.net) for p in packets]
     assert pairs == [
@@ -98,7 +102,7 @@ def test_default_traffic_is_the_cartesian_product_in_topology_order():
     tags = [p.payload_tag for p in packets]
     assert len(set(tags)) == len(tags)
     assert all(p.src.link for p in packets), "host link addresses carried over"
-    assert list(b.taps[Segment.EXTERNAL]) == list(packets)
+    assert b.inside == [packets[0]], "only the allowed probe reaches the inside tap"
 
 
 def test_traffic_spec_overrides_fields_and_links():
@@ -121,7 +125,7 @@ def test_generated_payloads_are_seed_stable():
 def test_filter_run_collects_all_five_artifacts():
     rules = [allow("198.51.100.10", "203.0.113.20", 0)]
     b = bench(rules=rules)
-    ev = run_filter_procedure(b, rules)
+    ev = run_filter_procedure(b)
     assert ev.level is FilterLevel.NETWORK
     assert len(ev.packet_in) == 4
     assert [(p.src.net, p.dst.net) for p in ev.packet_out] == [
@@ -134,24 +138,24 @@ def test_filter_run_collects_all_five_artifacts():
 def test_filter_run_resets_taps_between_runs():
     rules = [allow("198.51.100.10", "203.0.113.20", 0)]
     b = bench(rules=rules)
-    first = run_filter_procedure(b, rules)
-    second = run_filter_procedure(b, rules)
+    first = run_filter_procedure(b)
+    second = run_filter_procedure(b)
     assert len(second.packet_in) == len(first.packet_in) == 4
     assert len(second.journal_allowed) == 1
 
 
 def test_link_level_requires_link_addresses_everywhere():
     bare = [Host("ext1", Address("198.51.100.10"))]
-    b = build_testbench(bare, INT)
+    b = build_testbench(bare, INT, rules=[allow("198.51.100.10", "203.0.113.20", 0)])
     with pytest.raises(InapplicableRule):
-        run_filter_procedure(b, [allow("198.51.100.10", "203.0.113.20", 0)], FilterLevel.LINK)
+        run_filter_procedure(b, FilterLevel.LINK)
 
 
 def test_fields_level_requires_a_constrained_rule():
     rules = [allow("198.51.100.10", "203.0.113.20", 0)]
     b = bench(rules=rules)
     with pytest.raises(InapplicableRule):
-        run_filter_procedure(b, rules, FilterLevel.FIELDS)
+        run_filter_procedure(b, FilterLevel.FIELDS)
 
 
 def test_auth_default_attempts_cover_the_four_combinations():
@@ -293,17 +297,22 @@ def test_integrity_needs_monitored_files():
 
 
 def test_procedure_errors_carry_the_owner_text():
-    # `validate_scenario` reports these same texts, behind "<claim> claimed but".
+    # `validate_scenario` reports these same texts, the claim preconditions
+    # behind "<claim> claimed but".
     rules = [allow("198.51.100.10", "203.0.113.20", 0)]
     bare = [Host("ext1", Address("198.51.100.10"))]
+    twin = [Host("ext1", Address("203.0.113.20"))]
+    orders = rules + [deny("198.51.100.10", "203.0.113.21", 0)]
+    accounts = ACCOUNTS + [AdminAccount("alice", "other")]
+    files = [FileArtifact("a", b"x"), FileArtifact("a", b"y")]
     cases = [
         (
-            lambda: run_filter_procedure(build_testbench(bare, INT), rules, FilterLevel.LINK),
+            lambda: run_filter_procedure(build_testbench(bare, INT, rules=rules), FilterLevel.LINK),
             InapplicableRule,
             filter_level_problem(FilterLevel.LINK, bare + INT, rules),
         ),
         (
-            lambda: run_filter_procedure(bench(rules=rules), rules, FilterLevel.FIELDS),
+            lambda: run_filter_procedure(bench(rules=rules), FilterLevel.FIELDS),
             InapplicableRule,
             filter_level_problem(FilterLevel.FIELDS, EXT + INT, rules),
         ),
@@ -314,6 +323,10 @@ def test_procedure_errors_carry_the_owner_text():
             attempt_coverage_problem([("x", "y")], ACCOUNTS),
         ),
         (lambda: run_integrity_procedure(bench()), NoMonitoredFiles, monitored_file_problem(())),
+        (lambda: bench(internal=twin), DuplicateEntry, host_name_problem(EXT + twin)),
+        (lambda: bench(rules=orders), DuplicateEntry, rule_order_problem(orders)),
+        (lambda: bench(accounts=accounts), DuplicateEntry, account_id_problem(accounts)),
+        (lambda: bench(files=files), DuplicateEntry, file_id_problem(files)),
     ]
     for run, error, text in cases:
         assert text

@@ -12,6 +12,7 @@ from fwconform.firewall import (
     Fault,
     FileArtifact,
     FilterRule,
+    Firewall,
     JournalEntry,
     JournalEvent,
     Mutation,
@@ -88,7 +89,7 @@ def parsed(specs):
 
 def filter_evidence(level=FilterLevel.NETWORK, faults=(), rules=RULES):
     bench = build_testbench(EXT, INT, rules=rules, faults=parsed(faults), seed=5)
-    return run_filter_procedure(bench, rules, level)
+    return run_filter_procedure(bench, level)
 
 
 def bits(results):
@@ -188,7 +189,7 @@ def test_ttl_blindness_needs_the_field_level_projection():
 
     def run(level):
         bench = build_testbench(EXT, INT, rules=RULES, faults=parsed(["ignore_field:ttl"]), seed=5)
-        return bits(evaluate_filter_criteria(run_filter_procedure(bench, RULES, level, traffic)))
+        return bits(evaluate_filter_criteria(run_filter_procedure(bench, level, traffic)))
 
     assert all(run(FilterLevel.NETWORK).values())
     at_fields = run(FilterLevel.FIELDS)
@@ -230,7 +231,7 @@ def test_random_rule_tables_still_satisfy_the_equations(table):
     ext = [Host(f"e{i}", Address(n)) for i, n in enumerate(nets_src)]
     int_ = [Host(f"i{i}", Address(n)) for i, n in enumerate(nets_dst)]
     bench = build_testbench(ext, int_, rules=rules, seed=3)
-    results = evaluate_filter_criteria(run_filter_procedure(bench, rules))
+    results = evaluate_filter_criteria(run_filter_procedure(bench))
     assert all(r.bit == 1 for r in results)
 
 
@@ -277,6 +278,24 @@ def test_leaked_credentials_name_the_piece_but_never_the_secret():
     assert "alice identifier" in row.detail
     for account in ACCOUNTS:
         assert account.password not in row.detail
+
+
+def test_a_product_that_lost_an_account_fails_sign_on():
+    # The registered accounts come from the bench, not from the product, so
+    # a product that dropped one cannot redefine what counts as registered.
+    bench = build_testbench(EXT, INT, accounts=ACCOUNTS)
+    bench.fw = Firewall(accounts=ACCOUNTS[:1])
+    attempts = [
+        ("alice", "s3cret!pass"),
+        ("bob", "hunter-two"),
+        ("alice", "wrong"),
+        ("ghost", "hunter-two"),
+        ("ghost", "wrong"),
+    ]
+    results = evaluate_auth_criteria(run_auth_procedure(bench, attempts))
+    row = next(r for r in results if r.label == REGISTERED_ACCEPTED)
+    assert row.bit == 0
+    assert "[1]" in row.detail
 
 
 def test_out_of_order_journal_is_rejected():
