@@ -28,7 +28,7 @@ from .formal import (
     claim_bit,
 )
 from .optimizer import optimize_plan
-from .report import ProcedureRecord, Report, ReportMetadata
+from .report import ProcedureRecord, Report, ReportMetadata, paused_collector
 from .scenario import Scenario, check_scenario, resolve_rules
 from .testbench import (
     FILTER_LEVELS,
@@ -66,6 +66,7 @@ def _fresh_bench(
     )
 
 
+@paused_collector()
 def run_campaign(scenario: Scenario, faults: Sequence[Fault] | None = None) -> Report:
     """Execute the scenario and return the full report.
 

@@ -10,7 +10,6 @@ variants for negative testing.
 from __future__ import annotations
 
 import hashlib
-import ipaddress
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -20,6 +19,10 @@ from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence
 from .errors import DuplicateEntry, MechanismInactive, UnknownFile
 
 _MAC_RE = re.compile(r"[0-9a-f]{2}(:[0-9a-f]{2}){5}")
+# A canonical dotted quad: four octets 0-255 in ASCII digits, no leading zeros.
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_NET_RE = re.compile(rf"{_OCTET}(?:\.{_OCTET}){{3}}")
+_FIELD_VALUES = frozenset(range(256)) | {None}  # a packet's proto or ttl; None: not given
 
 DEFAULT_PROTO = 6
 DEFAULT_TTL = 64
@@ -69,9 +72,8 @@ class Address:
     link: str | None = None
 
     def __post_init__(self):
-        parsed = ipaddress.IPv4Address(self.net)
-        if str(parsed) != self.net:
-            raise ValueError(f"non-canonical network address: {self.net!r}")
+        if not (isinstance(self.net, str) and _NET_RE.fullmatch(self.net)):
+            raise ValueError(f"not a canonical dotted-quad network address: {self.net!r}")
         if self.link is not None:
             object.__setattr__(self, "link", link_address(self.link))
 
@@ -101,10 +103,16 @@ class Packet:
     ingress: Segment = Segment.EXTERNAL
 
     def __post_init__(self):
-        if not 0 <= self.proto <= 255:
-            raise ValueError(f"proto out of range: {self.proto}")
-        if not 0 <= self.ttl <= 255:
-            raise ValueError(f"ttl out of range: {self.ttl}")
+        if not (0 <= self.proto <= 255 and 0 <= self.ttl <= 255):
+            raise ValueError(packet_field_problem(self.proto, self.ttl))
+
+
+def packet_field_problem(proto: int | None, ttl: int | None) -> str | None:
+    """Why a packet's proto or ttl, where given, cannot be sent, or None."""
+    if proto in _FIELD_VALUES and ttl in _FIELD_VALUES:
+        return None
+    given = (("proto", proto), ("ttl", ttl))
+    return "; ".join(f"{k} out of range: {v}" for k, v in given if v not in _FIELD_VALUES)
 
 
 @dataclass(frozen=True)

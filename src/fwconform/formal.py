@@ -267,6 +267,11 @@ class CampaignVerdict:
     n: int
     conform: int
 
+    def __post_init__(self):
+        bits = [bit for _, claimed, upheld in self.pairs for bit in (claimed, upheld)]
+        if set(bits) - {0, 1} or self.n != len(self.pairs) or self.conform != all(bits):
+            raise ValueError("bits must be 0 or 1, n the row count, conform 1 iff every bit is 1")
+
 
 def aggregate_verdict(
     claims: Sequence[tuple[Requirement, int]],

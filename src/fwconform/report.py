@@ -7,26 +7,30 @@ report loses nothing.  The wall-clock timestamp is the single
 nondeterministic field, and `strip_timestamps` blanks it in either
 format for byte-level comparisons.
 
-One codec maps Report values to JSON values and back, driven by the
-dataclasses' own fields and type hints: a dataclass is an object keyed
-by field name, an enum its value, `bytes` hex text, a tuple an array
-and `X | None` X or null.  Each type's encoder and decoder is worked out
-once and cached (`_codec`).  Decoding checks every value against its
-hint, JSON type and array length, so a malformed report raises
-ValueError or TypeError instead of building a Report that cannot be
-rendered.  The schema's own knowledge is data: the field renames
-(`_RENAMES`), the evidence tags (`_EVIDENCE_TAGS`) and the procedure
-record layout, which `_codec` flattens into one object.
+One codec, driven by the dataclasses' own fields and type hints, writes
+Report values as that text and reads them back: a dataclass is an object
+keyed by field name, an enum its value, `bytes` hex text, a tuple an
+array and `X | None` X or null.  `_codec` works out each type's writer
+and decoder once per type and nesting depth; the writer is the only
+encoder, and `report_to_dict` reads its text back.  Decoding checks
+every value against its hint, JSON type and array length, so a malformed
+report raises ValueError or TypeError instead of building a Report that
+cannot be rendered.  The schema's own knowledge is data: the field
+renames (`_RENAMES`), the evidence tags (`_EVIDENCE_TAGS`) and the
+procedure record layout, which `_codec` flattens into one object.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from functools import cache
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from types import UnionType
 from typing import Callable, NamedTuple, Union, get_args, get_origin, get_type_hints
@@ -74,12 +78,11 @@ class Report:
 
 _RENAMES = {"requirement_id": "requirement", "variant_id": "variant"}
 _EVIDENCE_TAGS = {"filter": FilterEvidence, "auth": AuthEvidence, "integrity": IntegrityEvidence}
-_TAG_OF = {cls: tag for tag, cls in _EVIDENCE_TAGS.items()}
 _JSON_NAMES = {str: "string", int: "integer", list: "array", dict: "object", type(None): "null"}
 
 
 class _Codec(NamedTuple):
-    encode: Callable | None  # None: the value is JSON as it stands
+    write: Callable  # the value's JSON text, opened at the codec's depth
     decode: Callable | None  # None: the JSON value is the value
     json: frozenset  # the JSON types, as Python types, that a value may arrive as
 
@@ -95,15 +98,25 @@ def _mismatch(where, accepted, values) -> TypeError:
     return TypeError(f"{name}: expected {expected}, got {_show(value)}")
 
 
+def _fields(tp, prefix: str) -> list[tuple[str, str, object]]:
+    """(key, attribute path, type hint) for each field of the dataclass `tp`."""
+    hints = get_type_hints(tp)
+    return [(_RENAMES.get(f.name, f.name), prefix + f.name, hints[f.name]) for f in fields(tp)]
+
+
 @cache
-def _codec(tp) -> _Codec:
-    """How to encode and decode values of type `tp`, worked out once per type."""
+def _codec(tp, depth: int) -> _Codec:
+    """How to write and read values of type `tp` that open `depth` levels deep.
+
+    Each object's key order and key prefixes are laid out here, once.
+    """
     # A decoder is only ever handed a value whose JSON type its container has
     # checked against `json` before decoding any member; so str and int decode as is.
     if tp is str or tp is int:
-        return _Codec(None, None, frozenset({tp}))
+        write = encode_basestring_ascii if tp is str else int.__repr__
+        return _Codec(write, None, frozenset({tp}))
     if tp is bytes:
-        return _Codec(bytes.hex, bytes.fromhex, frozenset({str}))
+        return _Codec(lambda value: f'"{value.hex()}"', bytes.fromhex, frozenset({str}))
     if isinstance(tp, type) and issubclass(tp, Enum):
         members = {m.value: m for m in tp}
 
@@ -113,45 +126,45 @@ def _codec(tp) -> _Codec:
             except KeyError:
                 raise ValueError(f"not a {tp.__name__} value: {_show(value)}") from None
 
-        return _Codec(attrgetter("value"), decode_enum, frozenset(map(type, members)))
+        texts = {m: _codec(type(m.value), depth).write(m.value) for m in tp}
+        return _Codec(texts.__getitem__, decode_enum, frozenset(map(type, members)))
     if tp is ProcedureRecord:
-        # One flat object: the procedure's and the outcome's fields sit beside
-        # the record's own, and the outcome's procedure_id is the procedure's id.
-        nested = _dataclass_codec(tp)
-
-        def encode_record(rec):
-            flat = nested.encode(rec)
-            outcome = flat.pop("outcome")
-            flat.update(flat.pop("procedure"), passed=outcome["passed"])
-            flat["criteria"] = outcome["criteria"]
-            return flat
+        # One flat object: the procedure's fields and the outcome's bit and criteria
+        # sit beside the record's own; the outcome's ids are the procedure's.
+        own = [m for m in _fields(tp, "") if m[1] not in ("procedure", "outcome")]
+        result = [m for m in _fields(ProcedureOutcome, "outcome.") if not m[1].endswith("_id")]
+        nested = _object_codec(tp, depth, own + _fields(TestProcedure, "procedure.") + result, [])
 
         def decode_record(data):
             outcome = {**data, "procedure_id": data["id"]}
             return nested.decode({**data, "procedure": data, "outcome": outcome})
 
-        return _Codec(encode_record, decode_record, frozenset({dict}))
+        return _Codec(nested.write, decode_record, frozenset({dict}))
     if tp == Evidence:
-        def encode_evidence(evidence):
-            return {"type": _TAG_OF[type(evidence)], **_codec(type(evidence)).encode(evidence)}
+        by_type = {
+            cls: _object_codec(cls, depth, _fields(cls, ""), [("type", tag)])
+            for tag, cls in _EVIDENCE_TAGS.items()
+        }
 
         def decode_evidence(data):
             if data["type"] not in _EVIDENCE_TAGS:
                 raise ValueError(f"unknown evidence type {_show(data['type'])}")
-            return _codec(_EVIDENCE_TAGS[data["type"]]).decode(data)
+            return by_type[_EVIDENCE_TAGS[data["type"]]].decode(data)
 
-        return _Codec(encode_evidence, decode_evidence, frozenset({dict}))
+        return _Codec(lambda ev: by_type[type(ev)].write(ev), decode_evidence, frozenset({dict}))
     args = get_args(tp)
     if get_origin(tp) in (Union, UnionType):  # X | None
-        (inner,) = [a for a in args if a is not type(None)]
-        enc, dec, json_types = _codec(inner)
+        (some,) = [a for a in args if a is not type(None)]
+        write, dec, json_types = _codec(some, depth)
         return _Codec(
-            enc and (lambda v: None if v is None else enc(v)),
+            lambda v: "null" if v is None else write(v),
             dec and (lambda v: None if v is None else dec(v)),
             json_types | {type(None)},
         )
+    inner, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth
     if get_origin(tp) is tuple and args[-1] is Ellipsis:
-        enc, dec, json_types = _codec(args[0])
+        write, dec, json_types = _codec(args[0], depth + 1)
+        head, sep, tail = "[" + inner, "," + inner, close + "]"
 
         def decode_array(value):
             for item in value:
@@ -159,25 +172,51 @@ def _codec(tp) -> _Codec:
                     raise _mismatch(range(len(value)), repeat(json_types), value)
             return tuple(value) if dec is None else tuple(map(dec, value))
 
-        encode = list if enc is None else lambda v: list(map(enc, v))
-        return _Codec(encode, decode_array, frozenset({list}))
+        return _Codec(
+            lambda v: head + sep.join(map(write, v)) + tail if v else "[]",
+            decode_array,
+            frozenset({list}),
+        )
     if get_origin(tp) is tuple:  # a fixed-length row
-        items = [_codec(a) for a in args]
+        items = [_codec(a, depth + 1) for a in args]
+        template = "[" + ",".join(inner + "%s" for _ in items) + close + "]"
         decode = _fixed_decoder(lambda *row: row, range(len(items)), items)
-        encoders = [c.encode for c in items]
-
-        def encode_row(row):
-            return [x if enc is None else enc(x) for enc, x in zip(encoders, row)]
 
         def decode_row(value):
             if len(value) != len(items):
                 raise ValueError(f"expected an array of {len(items)}, got {_show(value)}")
             return decode(value)
 
-        return _Codec(encode_row if any(encoders) else list, decode_row, frozenset({list}))
+        return _Codec(_filler(template, items, tuple), decode_row, frozenset({list}))
     if is_dataclass(tp):
-        return _dataclass_codec(tp)
+        schema = [("schema", SCHEMA)] if tp is Report else []
+        return _object_codec(tp, depth, _fields(tp, ""), schema)
     raise TypeError(f"no report codec for {tp!r}")
+
+
+def _object_codec(tp, depth: int, members: list, constants: list[tuple[str, str]]) -> _Codec:
+    """An object with one member per field of `tp`, keyed by the field name or its rename.
+
+    It is written from `members`, (key, attribute path, type) triples, and
+    `constants`, (key, text) pairs.
+    """
+    keys, _, hints = zip(*_fields(tp, ""))
+    decode = _fixed_decoder(tp, keys, [_codec(h, depth + 1) for h in hints])
+    members = sorted(members)
+    slots = [(key, "%s") for key, _, _ in members]
+    slots += [(key, encode_basestring_ascii(text).replace("%", "%%")) for key, text in constants]
+    inner = "\n" + "  " * (depth + 1)
+    body = "".join(f",{inner}{encode_basestring_ascii(k)}: {s}" for k, s in sorted(slots))
+    template = "{" + body[1:] + "\n" + "  " * depth + "}"
+    items = [_codec(hint, depth + 1) for _, _, hint in members]
+    write = _filler(template, items, attrgetter(*[path for _, path, _ in members]))
+    return _Codec(write, decode, frozenset({dict}))
+
+
+def _filler(template: str, items: list[_Codec], values: Callable) -> Callable:
+    """Fill `template`'s slots with each item's text of the matching value."""
+    writers = [c.write for c in items]
+    return lambda obj: template % tuple([w(v) for w, v in zip(writers, values(obj))])
 
 
 def _fixed_decoder(build: Callable, keys, items: list[_Codec]) -> Callable:
@@ -187,8 +226,7 @@ def _fixed_decoder(build: Callable, keys, items: list[_Codec]) -> Callable:
     checks = list(enumerate(accepted))
     decoders = [(i, c.decode) for i, c in enumerate(items) if c.decode is not None]
 
-    # Plain loops rather than map(): they allocate nothing, and temporaries per
-    # member would trigger garbage-collector passes over the growing report.
+    # Plain loops rather than map(): they allocate nothing per member.
     def decode(data):
         values = members(data)
         for i, ok in checks:
@@ -203,54 +241,59 @@ def _fixed_decoder(build: Callable, keys, items: list[_Codec]) -> Callable:
     return decode
 
 
-def _dataclass_codec(tp) -> _Codec:
-    """An object with one member per field, keyed by the field name or its rename."""
-    hints = get_type_hints(tp)
-    names = [f.name for f in fields(tp)]
-    keys = [_RENAMES.get(n, n) for n in names]
-    items = [_codec(hints[n]) for n in names]
-    encoders = list(zip(names, keys, [c.encode for c in items]))
-
-    def encode_object(obj):
-        out = {}
-        for name, key, enc in encoders:
-            value = getattr(obj, name)
-            out[key] = value if enc is None else enc(value)
-        return out
-
-    return _Codec(encode_object, _fixed_decoder(tp, keys, items), frozenset({dict}))
-
-
 def report_to_dict(report: Report) -> dict:
-    return {"schema": SCHEMA, **_codec(Report).encode(report)}
+    """The report's JSON form, read back from its machine text."""
+    return json.loads(_codec(Report, 0).write(report))
 
 
 def report_from_dict(data: dict) -> Report:
     if data.get("schema") != SCHEMA:
         raise ValueError(f"unknown report schema {data.get('schema')!r}")
-    return _codec(Report).decode(data)
+    report = _codec(Report, 0).decode(data)
+    rows = {rid: (claimed, upheld) for rid, claimed, upheld in report.campaign.pairs}
+    for rec in report.procedures:
+        if rows.get(rec.procedure.requirement_id) != (rec.claim, rec.outcome.passed):
+            raise ValueError(f"{rec.procedure.id}: claim or passed bit differs from its pairs row")
+    return report
 
 
 # -- rendering -----------------------------------------------------------------
 
 def export_report(report: Report, fmt: str = "machine") -> str:
     if fmt == "machine":
-        return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+        return _codec(Report, 0).write(report) + "\n"
     if fmt == "human":
         return render_human(report)
     raise ValueError(f"unknown report format {fmt!r}")
 
 
+@contextmanager
+def paused_collector():
+    """Pause the cycle collector, then restore the caller's setting.
+
+    For building a large value that outlives the call, a report or a
+    campaign's evidence: collector passes over it as it grows find nothing
+    to free and only cost time.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
+@paused_collector()
 def parse_report(text: str) -> Report:
     """Inverse of the machine format; raises ReportFormatError on anything off."""
     try:
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ReportFormatError(f"malformed report: expected a JSON object, got {_show(data)}")
+        return report_from_dict(data)
     except json.JSONDecodeError as exc:
         raise ReportFormatError(f"not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ReportFormatError(f"malformed report: expected a JSON object, got {_show(data)}")
-    try:
-        return report_from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ReportFormatError(f"malformed report: {exc}") from None
 

@@ -42,6 +42,7 @@ from .firewall import (
     fault_problem,
     file_id_problem,
     link_address,
+    packet_field_problem,
     repeated,
     rule_order_problem,
 )
@@ -465,6 +466,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             say(f"{where}: source {spec.src!r} is not an external host")
         if spec.dst not in internal:
             say(f"{where}: destination {spec.dst!r} is not an internal host")
+        problem = packet_field_problem(spec.proto, spec.ttl)
+        if problem:
+            say(f"{where}: {problem}")
 
     if scenario.attempts is not None and scenario.accounts:
         problem = attempt_coverage_problem(scenario.attempts, scenario.accounts)

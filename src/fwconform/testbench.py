@@ -97,6 +97,16 @@ class Testbench:
         fw: Firewall,
         seed: int = 0,
     ):
+        if not external:
+            raise EmptySegment("outside segment has no hosts")
+        if not internal:
+            raise EmptySegment("protected segment has no hosts")
+        problem = host_name_problem([*external, *internal])
+        if problem:
+            raise DuplicateEntry(problem)
+        shared = {h.address.net for h in external} & {h.address.net for h in internal}
+        if shared:
+            raise OverlappingSegments(f"addresses on both segments: {', '.join(sorted(shared))}")
         self.external = tuple(external)
         self.internal = tuple(internal)
         self._hosts = {h.name: h for h in self.external + self.internal}
@@ -148,18 +158,6 @@ def build_testbench(
     seed: int = 0,
 ) -> Testbench:
     """Assemble the two segments around a product loaded with the rules and accounts."""
-    if not external:
-        raise EmptySegment("outside segment has no hosts")
-    if not internal:
-        raise EmptySegment("protected segment has no hosts")
-    problem = host_name_problem([*external, *internal])
-    if problem:
-        raise DuplicateEntry(problem)
-    shared = {h.address.net for h in external} & {h.address.net for h in internal}
-    if shared:
-        raise OverlappingSegments(
-            f"addresses on both segments: {', '.join(sorted(shared))}"
-        )
     fw = Firewall(
         rules=rules,
         accounts=accounts,

@@ -265,6 +265,14 @@ _REFUSED = {
         "packet 1: source 'ghost' is not an external host",
     ),
     "empty-traffic": (dict(traffic=()), "traffic list is empty"),
+    "traffic-ttl": (
+        dict(traffic=(TrafficSpec("probe", "target", ttl=300),)),
+        "packet 1: ttl out of range: 300",
+    ),
+    "traffic-proto": (
+        dict(traffic=(TrafficSpec("probe", "target", proto=-1),)),
+        "packet 1: proto out of range: -1",
+    ),
     "duplicate-rule-order": (dict(rules=_BASE.rules * 2), "duplicate rule order(s): 0"),
     "duplicate-account": (
         _claiming("r2", accounts=_ROOT + (AdminAccount("root", "other"),)),

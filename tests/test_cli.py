@@ -147,6 +147,26 @@ def test_report_verb_rejects_a_short_row(tmp_path, capsys):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda campaign: campaign.update(conform=1),
+        lambda campaign: campaign.update(n=9, pairs=[["r1", 7, 1], *campaign["pairs"][1:]]),
+    ],
+    ids=["conform", "bit-and-n"],
+)
+def test_report_verb_rejects_a_forged_verdict(tmp_path, capsys, forge):
+    golden = REPO_ROOT / "tests" / "data" / "reference-leak-credentials.json"
+    data = json.loads(golden.read_text())
+    forge(data["campaign"])
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(data))
+    assert cli.main(["report", str(forged)]) == 2
+    out, err = capsys.readouterr()
+    assert "claims upheld" not in out
+    assert "malformed report" in err
+
+
 def test_unexpected_exceptions_exit_three(monkeypatch, capsys):
     def boom(scenario, faults=None):
         raise RuntimeError("wires crossed")

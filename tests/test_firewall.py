@@ -1,3 +1,4 @@
+import ipaddress
 import random
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from fwconform.firewall import (
     RuleAction,
     digest,
     fault_problem,
+    packet_field_problem,
     split_filter_journal,
 )
 
@@ -78,6 +80,38 @@ def test_address_rejects_noncanonical_net():
         Address("not-an-address")
 
 
+def _canonical_by_ipaddress(text: str) -> bool:
+    """The address check the pattern replaced: parse it, print it, compare."""
+    try:
+        return str(ipaddress.IPv4Address(text)) == text
+    except ValueError:
+        return False
+
+
+# Every spelling of one octet up to three characters, and forms around the edges.
+_OCTETS = [str(i) for i in range(1000)] + [f"{i:02d}" for i in range(100)] + [
+    f"{i:03d}" for i in range(100)
+]
+_EDGE_FORMS = [
+    "0.0.0.0", "255.255.255.255", "256.1.1.1", "1.2.3", "1.2.3.4.5", "1..2.3", ".1.2.3",
+    "1.2.3.", "", " 1.2.3.4", "1.2.3.4 ", "1.2.3.4\n", "+1.2.3.4", "-1.2.3.4", "1.2.3.-4",
+    "0x1.2.3.4", "1e2.2.3.4", "1_0.2.3.4", "1.2.3.4/32", "1.2.3.4:80", "0001.2.3.4",
+    "\uff11.2.3.4", "\u0661.2.3.4", "1.2.3.\u0664", "\u00b9.2.3.4", "1,2,3,4", "1.2.3.4%0",
+]
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_address_accepts_exactly_the_canonical_dotted_quads(position):
+    forms = [".".join(o if i == position else "9" for i in range(4)) for o in _OCTETS]
+    for text in forms + _EDGE_FORMS:
+        try:
+            Address(text)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == _canonical_by_ipaddress(text), text
+
+
 def test_address_normalizes_mac_case():
     assert Address(A, "02:00:5E:10:00:01").link == "02:00:5e:10:00:01"
     with pytest.raises(ValueError):
@@ -89,6 +123,10 @@ def test_packet_field_ranges():
         packet(proto=256)
     with pytest.raises(ValueError):
         packet(ttl=-1)
+    with pytest.raises(ValueError) as caught:
+        packet(ttl=300)
+    assert str(caught.value) == packet_field_problem(None, 300) == "ttl out of range: 300"
+    assert packet_field_problem(6, 64) is None
 
 
 # -- screening ----------------------------------------------------------------

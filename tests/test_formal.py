@@ -8,6 +8,7 @@ from fwconform.firewall import AuthMode
 from fwconform.formal import (
     ALL_REQUIREMENTS,
     Campaign,
+    CampaignVerdict,
     Capabilities,
     CriterionResult,
     FirewallProfile,
@@ -147,6 +148,22 @@ def test_unclaimed_requirement_in_scope_sinks_the_verdict():
     verdict = aggregate_verdict(claims, {"r1": outcome("r1", 1)})
     assert verdict.pairs == (("r1", 1, 1), ("r2", 0, 0))
     assert verdict.conform == 0
+
+
+@pytest.mark.parametrize(
+    "pairs, n, conform",
+    [
+        ((("r1", 1, 1), ("r2", 1, 0)), 2, 1),  # a verdict bit the pairs do not give
+        ((("r1", 1, 1),), 1, 0),
+        ((("r1", 7, 1),), 9, 1),  # a bit that is not a bit, and a scope size that is off
+        ((("r1", 1, 1),), 2, 1),
+        ((("r1", 1, 2),), 1, 1),
+        ((), 0, 0),
+    ],
+)
+def test_verdict_must_agree_with_its_pairs(pairs, n, conform):
+    with pytest.raises(ValueError):
+        CampaignVerdict(pairs, n, conform)
 
 
 def test_empty_scope_is_vacuously_conform():

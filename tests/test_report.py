@@ -1,4 +1,7 @@
+import gc
 import json
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -6,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwconform.campaign import run_campaign
-from fwconform.errors import ReportFormatError
+from fwconform.errors import FwconformError, ReportFormatError
 from fwconform.firewall import Fault
 from fwconform.report import (
     SCHEMA,
@@ -17,9 +20,10 @@ from fwconform.report import (
     report_to_dict,
     strip_timestamps,
 )
-from fwconform.scenario import load_scenario
+from fwconform.scenario import load_scenario, parse_scenario
 
-REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference.scn"
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE = ROOT / "scenarios" / "reference.scn"
 # The reference scenario run under leak_credentials, timestamp stripped: all
 # three evidence kinds, credential findings and a fault list in one report.
 GOLDEN = Path(__file__).resolve().parent / "data" / "reference-leak-credentials.json"
@@ -101,15 +105,16 @@ def test_parse_rejects_json_that_is_not_an_object(text):
         parse_report(text)
 
 
-def _golden_with(path, value) -> str:
-    """The golden report with the value at `path` replaced, as JSON text."""
+def _golden_with(*changes) -> str:
+    """The golden report with the value at each (path, value) change replaced, as JSON text."""
     data = json.loads(GOLDEN_TEXT)
-    if not path:
-        return json.dumps(value)
-    parent = data
-    for step in path[:-1]:
-        parent = parent[step]
-    parent[path[-1]] = value
+    for path, value in changes:
+        if not path:
+            return json.dumps(value)
+        parent = data
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = value
     return json.dumps(data)
 
 
@@ -140,7 +145,26 @@ def _golden_with(path, value) -> str:
 )
 def test_parse_rejects_values_of_the_wrong_type_or_length(path, value):
     with pytest.raises(ReportFormatError, match="malformed report"):
-        parse_report(_golden_with(path, value))
+        parse_report(_golden_with((path, value)))
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        [(("campaign", "conform"), 1)],
+        [(("campaign", "pairs", 0, 1), 7), (("campaign", "n"), 9)],
+        [(("campaign", "pairs", 3, 2), 2)],
+        [(("campaign", "n"), 9)],
+        # A campaign block that agrees with itself, not with the r2 record.
+        [(("campaign", "pairs", 3, 2), 1), (("campaign", "conform"), 1)],
+        [(("procedures", 0, "claim"), 0)],
+        [(("procedures", 3, "requirement"), "r3")],
+    ],
+    ids=["conform", "bit-and-n", "upheld-2", "n", "pairs-row", "claim", "requirement"],
+)
+def test_parse_rejects_a_forged_verdict(changes):
+    with pytest.raises(ReportFormatError, match="malformed report"):
+        parse_report(_golden_with(*changes))
 
 
 def _paths(value, prefix=()):
@@ -166,11 +190,75 @@ _JSON = st.recursive(
 @given(path=st.sampled_from(list(_paths(json.loads(GOLDEN_TEXT)))), value=_JSON)
 def test_parse_either_rejects_or_returns_a_renderable_report(path, value):
     try:
-        report = parse_report(_golden_with(path, value))
+        report = parse_report(_golden_with((path, value)))
     except ReportFormatError:
         return
     export_report(report, "machine")
     export_report(report, "human")
+
+
+# Text that JSON must escape: quotes, backslashes, control characters, line
+# separators, non-ASCII, astral characters and lone surrogates.  A high
+# surrogate just before a low one would read back as one astral character,
+# in any JSON, so such pairs are left out.
+_SPECIAL = ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\udfff", "é", "😀"]
+_AWKWARD = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from(_SPECIAL), max_size=12
+).filter(lambda t: not re.search("[\ud800-\udbff][\udc00-\udfff]", t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile=_AWKWARD, texts=st.lists(st.tuples(_AWKWARD, _AWKWARD), min_size=1, max_size=6))
+def test_machine_text_is_canonical_json_whatever_the_strings(profile, texts):
+    golden = parse_report(GOLDEN_TEXT)
+    records = []
+    for i, rec in enumerate(golden.procedures):
+        criteria = tuple(
+            replace(c, label=texts[(i + j) % len(texts)][0], detail=texts[(i + j) % len(texts)][1])
+            for j, c in enumerate(rec.outcome.criteria)
+        )
+        records.append(replace(rec, outcome=replace(rec.outcome, criteria=criteria)))
+    report = replace(
+        golden,
+        metadata=replace(golden.metadata, profile=profile),
+        procedures=tuple(records),
+    )
+    text = export_report(report)
+    assert text == json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    assert parse_report(text) == report
+
+
+def test_machine_text_of_a_generated_scenario_is_canonical_json(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import scengen
+
+    generated = scengen.generate(scengen.Shape(8, 8, 20, 5, True), 3, "small-grid")
+    report = run_campaign(parse_scenario(generated.text))
+    text = export_report(report)
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert parse_report(text) == report
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_and_run_leave_the_garbage_collector_as_they_found_it(scenario, enabled):
+    calls = [
+        lambda: parse_report(GOLDEN_TEXT),
+        lambda: parse_report("{nope"),
+        lambda: parse_report(_golden_with((("campaign", "n"), 9))),
+        lambda: run_campaign(scenario),
+        lambda: run_campaign(replace(scenario, seed=-1)),
+    ]
+    was = gc.isenabled()
+    try:
+        for call in calls:
+            (gc.enable if enabled else gc.disable)()
+            try:
+                call()
+            except FwconformError:
+                pass
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_export_rejects_unknown_formats(report):

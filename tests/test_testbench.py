@@ -20,6 +20,7 @@ from fwconform.firewall import (
     FaultName,
     FileArtifact,
     FilterRule,
+    Firewall,
     Mutation,
     Packet,
     RuleAction,
@@ -27,6 +28,7 @@ from fwconform.firewall import (
     file_id_problem,
     rule_order_problem,
 )
+from fwconform import testbench
 from fwconform.testbench import (
     FilterLevel,
     Host,
@@ -81,6 +83,31 @@ def test_build_rejects_shared_addresses_and_names():
         bench(internal=[Host("x", Address("198.51.100.10"))])
     with pytest.raises(ValueError):
         bench(internal=[Host("ext1", Address("203.0.113.20"))])
+
+
+@pytest.mark.parametrize(
+    "external, internal, error, text",
+    [
+        (EXT, [], EmptySegment, "protected segment has no hosts"),
+        ([], INT, EmptySegment, "outside segment has no hosts"),
+        (EXT, [Host("ext1", INT[0].address)], DuplicateEntry, "duplicate host name(s): ext1"),
+        (
+            EXT,
+            [Host("x", Address("198.51.100.10"))],
+            OverlappingSegments,
+            "addresses on both segments: 198.51.100.10",
+        ),
+    ],
+    ids=["no-inside", "no-outside", "twin-name", "shared-address"],
+)
+def test_a_bench_built_directly_checks_its_segments(external, internal, error, text):
+    for build in (
+        lambda: testbench.Testbench(external, internal, (), (), Firewall()),
+        lambda: bench(external=external, internal=internal),
+    ):
+        with pytest.raises(error) as caught:
+            build()
+        assert str(caught.value) == text
 
 
 def test_unknown_host_lookup():
