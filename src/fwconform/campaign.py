@@ -59,7 +59,7 @@ def _fresh_bench(
         rules=rules,
         accounts=scenario.accounts,
         files=scenario.files,
-        auth_mode=scenario.auth_mode or AuthMode.REMOTE,
+        auth_mode=scenario.capabilities.auth_mode or AuthMode.REMOTE,
         management=Address(scenario.management) if scenario.management else None,
         faults=scenario.faults,
         seed=child_seed(scenario.seed, requirement_id),

@@ -23,10 +23,6 @@ class MechanismInactive(FwconformError):
     """An operation needs a subsystem that was never activated."""
 
 
-class OverlappingSegments(FwconformError):
-    """The external and internal segments share a network address."""
-
-
 class EmptySegment(FwconformError):
     """A bench segment has no hosts."""
 
@@ -48,7 +44,7 @@ class NoMonitoredFiles(FwconformError, ValueError):
 
 
 class DuplicateEntry(FwconformError, ValueError):
-    """An inventory (rule orders, host names, account ids, file ids) lists a key twice."""
+    """An inventory (rule orders, host names or addresses, account or file ids) repeats a key."""
 
 
 class IncompleteEvidence(FwconformError):

@@ -86,6 +86,14 @@ def link_address(text: str) -> str:
     return low
 
 
+def normalize_links(record) -> None:
+    """Check a frozen record's optional `src_link`/`dst_link`; store them lower-cased."""
+    for name in ("src_link", "dst_link"):
+        link = getattr(record, name)
+        if link is not None:
+            object.__setattr__(record, name, link_address(link))
+
+
 # The product's management interface unless a scenario places it.
 DEFAULT_MANAGEMENT = Address("198.18.0.1")
 
@@ -120,7 +128,8 @@ class FilterRule:
     """An ordered allow/deny rule over one (sender, recipient) address pair.
 
     The optional link/proto/ttl constraints narrow the match; an unset
-    constraint matches anything.
+    constraint matches anything.  MACs are stored lower-cased; proto and
+    the ttl bounds must be 0..255 and the ttl range nonempty.
     """
 
     action: RuleAction
@@ -132,6 +141,16 @@ class FilterRule:
     ttl_min: int | None = None
     ttl_max: int | None = None
     order: int = 0
+
+    def __post_init__(self):
+        normalize_links(self)
+        problem = packet_field_problem(self.proto, self.ttl_min) or packet_field_problem(
+            None, self.ttl_max
+        )
+        if problem:
+            raise ValueError(problem)
+        if None not in (self.ttl_min, self.ttl_max) and self.ttl_max < self.ttl_min:
+            raise ValueError(f"empty ttl range {self.ttl_min}-{self.ttl_max}")
 
     @property
     def constrains_fields(self) -> bool:

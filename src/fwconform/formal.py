@@ -312,17 +312,14 @@ class Campaign:
     """A profile bound to the requirement catalog it draws claims from."""
 
     profile: FirewallProfile
-    catalog: tuple[Requirement, ...] = tuple(ALL_REQUIREMENTS.values())
 
     def __post_init__(self):
-        known = {r.id for r in self.catalog}
-        unknown = [c for c in self.profile.claims if c not in known]
+        unknown = [c for c in self.profile.claims if c not in ALL_REQUIREMENTS]
         if unknown:
             raise ValueError(f"claims outside the catalog: {', '.join(unknown)}")
 
     def claimed_requirements(self) -> tuple[Requirement, ...]:
-        by_id = {r.id: r for r in self.catalog}
-        return tuple(by_id[c] for c in self.profile.claims)
+        return tuple(ALL_REQUIREMENTS[c] for c in self.profile.claims)
 
     def develop_all(self) -> dict[str, TestProcedure]:
         return {

@@ -79,15 +79,13 @@ def optimize_plan(
     """Exact minimum-time plan within the budget; `budget=None` lifts the cap.
 
     Raises Infeasible when even the cheapest variant per requirement
-    overruns the budget.
+    overruns the budget.  Without a budget the same search runs under a
+    limit no selection can overrun: the dearest variant of every group.
     """
     groups = _validated_groups(catalog)
-    if budget is None:
-        return _as_plan(
-            [min(g, key=lambda v: (v.time, v.cost, v.variant_id)) for g in groups], None
-        )
-    if budget < 0:
+    if budget is not None and budget < 0:
         raise ValueError(f"budget must be nonnegative: {budget}")
+    limit = sum(max(v.cost for v in g) for g in groups) if budget is None else budget
 
     @cache
     def best(i: int, remaining: int) -> tuple[int, int] | None:
@@ -107,14 +105,14 @@ def optimize_plan(
                 found = pair
         return found
 
-    target = best(0, budget)
+    target = best(0, limit)
     if target is None:
         floor = sum(min(v.cost for v in g) for g in groups)
         raise Infeasible(
             f"budget {budget} cannot cover the campaign; cheapest selection costs {floor}"
         )
     chosen = []
-    remaining = budget
+    remaining = limit
     need_time, need_cost = target
     for i, group in enumerate(groups):
         for v in sorted(group, key=lambda v: v.variant_id):

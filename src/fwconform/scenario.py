@@ -25,6 +25,7 @@ the first.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -41,8 +42,6 @@ from .firewall import (
     account_id_problem,
     fault_problem,
     file_id_problem,
-    link_address,
-    packet_field_problem,
     repeated,
     rule_order_problem,
 )
@@ -52,7 +51,8 @@ from .formal import (
 from .optimizer import ProcedureVariant
 from .testbench import (
     FILTER_LEVELS, Host, TrafficSpec, account_problem, attempt_coverage_problem,
-    filter_level_problem, host_name_problem, monitored_file_problem,
+    filter_level_problem, host_address_problem, host_name_problem, monitored_file_problem,
+    segment_problem,
 )
 
 _SECTIONS = (
@@ -76,10 +76,7 @@ class Scenario:
     name: str = ""
     claims: tuple[str, ...] = ()
     requirements: tuple[str, ...] = ()
-    auth_mode: AuthMode | None = AuthMode.REMOTE
-    link_layer: bool = True
-    filter_fields: tuple[str, ...] = ("proto", "ttl")
-    integrity_trigger: bool = True
+    capabilities: Capabilities = Capabilities()
     seed: int = 0
     management: str | None = None
     external: tuple[Host, ...] = ()
@@ -94,16 +91,8 @@ class Scenario:
     budget: int | None = None
     faults: tuple[Fault, ...] = ()
 
-    def capabilities(self) -> Capabilities:
-        return Capabilities(
-            link_layer=self.link_layer,
-            filter_fields=self.filter_fields,
-            auth_mode=self.auth_mode,
-            integrity_trigger=self.integrity_trigger,
-        )
-
     def profile(self) -> FirewallProfile:
-        return FirewallProfile(self.name, self.claims, self.capabilities())
+        return FirewallProfile(self.name, self.claims, self.capabilities)
 
     def variant_catalog(self) -> dict[str, list[ProcedureVariant]]:
         """Declared variants grouped by claim; a lone free variant fills gaps."""
@@ -124,13 +113,6 @@ def _payload(token: str) -> bytes:
     raise ValueError(f"payload must start with text: or hex:, got {token!r}")
 
 
-def _int_in(token: str, low: int, high: int, what: str) -> int:
-    value = int(token)
-    if not low <= value <= high:
-        raise ValueError(f"{what} {value} outside {low}..{high}")
-    return value
-
-
 def _kv_pairs(tokens: Sequence[str], allowed: Sequence[str]) -> dict[str, str]:
     pairs = {}
     for token in tokens:
@@ -145,20 +127,27 @@ def _kv_pairs(tokens: Sequence[str], allowed: Sequence[str]) -> dict[str, str]:
     return pairs
 
 
+# [rules] and [traffic] options and the record fields they set; the
+# records check the values themselves.
+_OPTION_FIELDS = {"src-mac": "src_link", "dst-mac": "dst_link", "proto": "proto", "ttl": "ttl"}
+
+
+def _option_fields(tokens: Sequence[str]) -> dict:
+    options = _kv_pairs(tokens, tuple(_OPTION_FIELDS))
+    fields = {_OPTION_FIELDS[k]: v for k, v in options.items()}
+    if "proto" in fields:
+        fields["proto"] = int(fields["proto"])
+    return fields
+
+
 class _Parser:
+    """Reads syntax only; each record is filed under its `Scenario` field."""
+
     def __init__(self):
         self.problems: list[str] = []
         self.fields: dict = {}
-        self.rules: list[FilterRule] = []
-        self.traffic: list[TrafficSpec] = []
-        self.accounts: list[AdminAccount] = []
-        self.files: list[FileArtifact] = []
-        self.mutations: list[Mutation] = []
-        self.attempts: list[tuple[str, str]] = []
-        self.variants: list[ProcedureVariant] = []
-        self.faults: list[Fault] = []
-        self.external: list[Host] = []
-        self.internal: list[Host] = []
+        self.capabilities: dict = {}
+        self.records: defaultdict[str, list] = defaultdict(list)
 
     def fail(self, line_no: int, message: str) -> None:
         self.problems.append(f"line {line_no}: {message}")
@@ -198,25 +187,25 @@ class _Parser:
             self.fields["requirements"] = tuple(rest.split())
         elif key == "auth":
             if rest == "none":
-                self.fields["auth_mode"] = None
+                self.capabilities["auth_mode"] = None
             else:
                 try:
-                    self.fields["auth_mode"] = AuthMode(rest)
+                    self.capabilities["auth_mode"] = AuthMode(rest)
                 except ValueError:
                     raise ValueError(f"auth must be local, remote or none: {rest!r}") from None
         elif key == "link-layer":
-            self.fields["link_layer"] = _on_off(rest)
+            self.capabilities["link_layer"] = _on_off(rest)
         elif key == "filter-fields":
             if rest == "none":
-                self.fields["filter_fields"] = ()
+                self.capabilities["filter_fields"] = ()
             else:
                 names = tuple(rest.split())
                 bad = [n for n in names if n not in ("proto", "ttl")]
                 if bad:
                     raise ValueError(f"filter-fields accepts proto and ttl: {bad}")
-                self.fields["filter_fields"] = names
+                self.capabilities["filter_fields"] = names
         elif key == "integrity-trigger":
-            self.fields["integrity_trigger"] = _on_off(rest)
+            self.capabilities["integrity_trigger"] = _on_off(rest)
         elif key == "seed":
             self.fields["seed"] = int(rest)
         elif key == "management":
@@ -229,62 +218,42 @@ class _Parser:
         if tokens[0] not in ("external", "internal") or len(tokens) not in (3, 4):
             raise ValueError("expected: external|internal <name> <address> [<mac>]")
         _, name, net, *mac = tokens
-        host = Host(name, Address(net, mac[0] if mac else None))
-        (self.external if tokens[0] == "external" else self.internal).append(host)
+        self.records[tokens[0]].append(Host(name, Address(net, mac[0] if mac else None)))
 
     def _rules(self, line: str) -> None:
         tokens = line.split()
         if tokens[0] not in ("allow", "deny") or len(tokens) < 3:
             raise ValueError("expected: allow|deny <src-host> <dst-host> [options]")
-        options = _kv_pairs(tokens[3:], ("src-mac", "dst-mac", "proto", "ttl"))
-        ttl_min = ttl_max = None
-        if "ttl" in options:
-            lo, sep, hi = options["ttl"].partition("-")
-            ttl_min = _int_in(lo, 0, 255, "ttl")
-            ttl_max = _int_in(hi, 0, 255, "ttl") if sep else ttl_min
-            if ttl_max < ttl_min:
-                raise ValueError(f"empty ttl range {ttl_min}-{ttl_max}")
-        self.rules.append(
-            FilterRule(
-                action=RuleAction(tokens[0]),
-                src=tokens[1],  # host names; swapped for addresses after topology checks
-                dst=tokens[2],
-                src_link=link_address(options["src-mac"]) if "src-mac" in options else None,
-                dst_link=link_address(options["dst-mac"]) if "dst-mac" in options else None,
-                proto=_int_in(options["proto"], 0, 255, "proto") if "proto" in options else None,
-                ttl_min=ttl_min,
-                ttl_max=ttl_max,
-                order=len(self.rules),
-            )
+        fields = _option_fields(tokens[3:])
+        if "ttl" in fields:
+            lo, sep, hi = fields.pop("ttl").partition("-")
+            fields.update(ttl_min=int(lo), ttl_max=int(hi if sep else lo))
+        rules = self.records["rules"]
+        # Endpoints are host names; swapped for addresses after topology checks.
+        rules.append(
+            FilterRule(RuleAction(tokens[0]), tokens[1], tokens[2], order=len(rules), **fields)
         )
 
     def _traffic(self, line: str) -> None:
         tokens = line.split()
         if tokens[0] != "packet" or len(tokens) < 3:
             raise ValueError("expected: packet <src-host> <dst-host> [options]")
-        options = _kv_pairs(tokens[3:], ("proto", "ttl", "src-mac", "dst-mac"))
-        self.traffic.append(
-            TrafficSpec(
-                src=tokens[1],
-                dst=tokens[2],
-                proto=_int_in(options["proto"], 0, 255, "proto") if "proto" in options else None,
-                ttl=_int_in(options["ttl"], 0, 255, "ttl") if "ttl" in options else None,
-                src_link=link_address(options["src-mac"]) if "src-mac" in options else None,
-                dst_link=link_address(options["dst-mac"]) if "dst-mac" in options else None,
-            )
-        )
+        fields = _option_fields(tokens[3:])
+        if "ttl" in fields:
+            fields["ttl"] = int(fields["ttl"])
+        self.records["traffic"].append(TrafficSpec(tokens[1], tokens[2], **fields))
 
     def _accounts(self, line: str) -> None:
         tokens = line.split(None, 2)
         if tokens[0] != "account" or len(tokens) != 3:
             raise ValueError("expected: account <identifier> <password>")
-        self.accounts.append(AdminAccount(tokens[1], tokens[2]))
+        self.records["accounts"].append(AdminAccount(tokens[1], tokens[2]))
 
     def _files(self, line: str) -> None:
         tokens = line.split(None, 2)
         if tokens[0] != "file" or len(tokens) != 3:
             raise ValueError("expected: file <id> text:...|hex:...")
-        self.files.append(FileArtifact(tokens[1], _payload(tokens[2])))
+        self.records["files"].append(FileArtifact(tokens[1], _payload(tokens[2])))
 
     def _mutations(self, line: str) -> None:
         tokens = line.split(None, 3)
@@ -295,15 +264,15 @@ class _Parser:
         if kind == "none":
             if rest is not None:
                 raise ValueError("mutate ... none takes no argument")
-            self.mutations.append(Mutation(file_id, "none"))
+            self.records["mutations"].append(Mutation(file_id, "none"))
         elif kind == "flip":
             if rest is None:
                 raise ValueError("mutate ... flip needs a byte offset")
-            self.mutations.append(Mutation(file_id, "flip", offset=int(rest)))
+            self.records["mutations"].append(Mutation(file_id, "flip", offset=int(rest)))
         elif kind in ("append", "replace"):
             if rest is None:
                 raise ValueError(f"mutate ... {kind} needs a payload")
-            self.mutations.append(Mutation(file_id, kind, data=_payload(rest)))
+            self.records["mutations"].append(Mutation(file_id, kind, data=_payload(rest)))
         else:
             raise ValueError(f"unknown mutation kind {kind!r}")
 
@@ -311,7 +280,7 @@ class _Parser:
         tokens = line.split(None, 2)
         if tokens[0] != "attempt" or len(tokens) != 3:
             raise ValueError("expected: attempt <identifier> <password>")
-        self.attempts.append((tokens[1], tokens[2]))
+        self.records["attempts"].append((tokens[1], tokens[2]))
 
     def _variants(self, line: str) -> None:
         tokens = line.split()
@@ -328,7 +297,7 @@ class _Parser:
         options = _kv_pairs(tokens[3:], ("time", "cost"))
         if set(options) != {"time", "cost"}:
             raise ValueError("variant needs both time= and cost=")
-        self.variants.append(
+        self.records["variants"].append(
             ProcedureVariant(
                 requirement_id=tokens[1],
                 variant_id=tokens[2],
@@ -341,27 +310,15 @@ class _Parser:
         tokens = line.split()
         if tokens[0] != "inject" or len(tokens) != 2:
             raise ValueError("expected: inject <fault-spec>")
-        self.faults.append(Fault.parse(tokens[1]))
+        self.records["faults"].append(Fault.parse(tokens[1]))
 
     def build(self) -> Scenario:
         if self.problems:
             raise ScenarioParseError(self.problems)
-        fields = dict(self.fields)
-        if "requirements" not in fields:
-            fields["requirements"] = fields.get("claims", ())
-        return Scenario(
-            external=tuple(self.external),
-            internal=tuple(self.internal),
-            rules=tuple(self.rules),
-            traffic=tuple(self.traffic) if self.traffic else None,
-            accounts=tuple(self.accounts),
-            files=tuple(self.files),
-            mutations=tuple(self.mutations),
-            attempts=tuple(self.attempts) if self.attempts else None,
-            variants=tuple(self.variants),
-            faults=tuple(self.faults),
-            **fields,
-        )
+        fields = {name: tuple(records) for name, records in self.records.items() if records}
+        fields.update(self.fields, capabilities=Capabilities(**self.capabilities))
+        fields.setdefault("requirements", fields.get("claims", ()))
+        return Scenario(**fields)
 
 
 def _on_off(token: str) -> bool:
@@ -419,7 +376,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 
     # The enforcing layers own these preconditions and their texts.
     claims = dict.fromkeys(c for c in scenario.claims if c in ALL_REQUIREMENTS)
-    caps = scenario.capabilities()
+    caps = scenario.capabilities
     hosts = scenario.external + scenario.internal
     for claim in claims:
         kind = ALL_REQUIREMENTS[claim].kind
@@ -433,15 +390,11 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             if problem:
                 say(f"{claim} claimed but {problem}")
 
-    if not scenario.external:
-        say("no external hosts")
-    if not scenario.internal:
-        say("no internal hosts")
-    dup = sorted(repeated(h.address.net for h in hosts))
-    if dup:
-        say(f"host address(es) used twice: {', '.join(dup)}")
-    # The bench and the product own these uniqueness rules and their texts.
+    # The bench and the product own these rules and their texts.
     for problem in (
+        segment_problem("external", scenario.external),
+        segment_problem("internal", scenario.internal),
+        host_address_problem(hosts),
         host_name_problem(hosts),
         rule_order_problem(scenario.rules),
         account_id_problem(scenario.accounts),
@@ -466,9 +419,6 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             say(f"{where}: source {spec.src!r} is not an external host")
         if spec.dst not in internal:
             say(f"{where}: destination {spec.dst!r} is not an internal host")
-        problem = packet_field_problem(spec.proto, spec.ttl)
-        if problem:
-            say(f"{where}: {problem}")
 
     if scenario.attempts is not None and scenario.accounts:
         problem = attempt_coverage_problem(scenario.attempts, scenario.accounts)
@@ -495,7 +445,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         say(f"variant(s) for unclaimed requirement(s): {', '.join(stray)}")
 
     for fault in scenario.faults:
-        problem = fault_problem(fault, len(scenario.rules), contents, scenario.auth_mode)
+        problem = fault_problem(fault, len(scenario.rules), contents, caps.auth_mode)
         if problem:
             say(problem)
     return problems

@@ -26,7 +26,6 @@ from .errors import (
     InapplicableRule,
     InsufficientAttemptCoverage,
     NoMonitoredFiles,
-    OverlappingSegments,
     UnknownHost,
 )
 from .firewall import (
@@ -46,6 +45,8 @@ from .firewall import (
     Segment,
     digest,
     duplicate_problem,
+    normalize_links,
+    packet_field_problem,
     split_filter_journal,
 )
 from .formal import RequirementKind
@@ -75,7 +76,10 @@ class Host:
 
 @dataclass(frozen=True)
 class TrafficSpec:
-    """One requested probe packet, by host name, with optional field overrides."""
+    """One requested probe packet, by host name, with optional field overrides.
+
+    MACs are stored lower-cased; proto and ttl must be 0..255.
+    """
 
     src: str
     dst: str
@@ -83,6 +87,12 @@ class TrafficSpec:
     ttl: int | None = None
     src_link: str | None = None
     dst_link: str | None = None
+
+    def __post_init__(self):
+        normalize_links(self)
+        problem = packet_field_problem(self.proto, self.ttl)
+        if problem:
+            raise ValueError(problem)
 
 
 class Testbench:
@@ -97,16 +107,14 @@ class Testbench:
         fw: Firewall,
         seed: int = 0,
     ):
-        if not external:
-            raise EmptySegment("outside segment has no hosts")
-        if not internal:
-            raise EmptySegment("protected segment has no hosts")
-        problem = host_name_problem([*external, *internal])
-        if problem:
-            raise DuplicateEntry(problem)
-        shared = {h.address.net for h in external} & {h.address.net for h in internal}
-        if shared:
-            raise OverlappingSegments(f"addresses on both segments: {', '.join(sorted(shared))}")
+        for name, segment in (("external", external), ("internal", internal)):
+            problem = segment_problem(name, segment)
+            if problem:
+                raise EmptySegment(problem)
+        hosts = [*external, *internal]
+        for problem in (host_address_problem(hosts), host_name_problem(hosts)):
+            if problem:
+                raise DuplicateEntry(problem)
         self.external = tuple(external)
         self.internal = tuple(internal)
         self._hosts = {h.name: h for h in self.external + self.internal}
@@ -139,6 +147,16 @@ class Testbench:
     def reset_tap(self) -> None:
         self.inside.clear()
         self._console_attempts.clear()
+
+
+def segment_problem(name: str, hosts: Collection[Host]) -> str | None:
+    """Why the `name` segment cannot send or receive anything, or None."""
+    return None if hosts else f"no {name} hosts"
+
+
+def host_address_problem(hosts: Iterable[Host]) -> str | None:
+    """Why a network address would not say which host it means, or None."""
+    return duplicate_problem("host address(es)", (h.address.net for h in hosts))
 
 
 def host_name_problem(hosts: Iterable[Host]) -> str | None:

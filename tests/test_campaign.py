@@ -17,6 +17,7 @@ from fwconform.firewall import (
     Mutation,
     RuleAction,
 )
+from fwconform.formal import Capabilities
 from fwconform.optimizer import ProcedureVariant
 from fwconform.scenario import Scenario, load_scenario, parse_scenario, validate_scenario
 from fwconform.testbench import Host, TrafficSpec
@@ -212,22 +213,27 @@ _REFUSED = {
     "negative-seed": (dict(seed=-1), "seed must be nonnegative: -1"),
     "negative-budget": (dict(budget=-1), "budget must be nonnegative: -1"),
     "link-layer-off": (
-        _claiming("r1-link", link_layer=False, **_LINKED),
+        _claiming("r1-link", capabilities=Capabilities(link_layer=False), **_LINKED),
         "r1-link claimed but link-layer is off",
     ),
     "filter-fields": (
         _claiming(
             "r1-fields",
-            filter_fields=("ttl",),
+            capabilities=Capabilities(filter_fields=("ttl",)),
             rules=(FilterRule(RuleAction.ALLOW, "probe", "target", proto=6),),
         ),
         "r1-fields claimed but filter-fields lacks proto",
     ),
     "auth-none": (
-        _claiming("r2", auth_mode=None, accounts=_ROOT), "r2 claimed but auth is none"
+        _claiming("r2", capabilities=Capabilities(auth_mode=None), accounts=_ROOT),
+        "r2 claimed but auth is none",
     ),
     "integrity-trigger-off": (
-        _claiming("r3", integrity_trigger=False, files=(FileArtifact("a", b"x"),)),
+        _claiming(
+            "r3",
+            capabilities=Capabilities(integrity_trigger=False),
+            files=(FileArtifact("a", b"x"),),
+        ),
         "r3 claimed but integrity-trigger is off",
     ),
     "link-addresses": (
@@ -246,7 +252,7 @@ _REFUSED = {
     ),
     "address-twice": (
         dict(internal=(_TARGET, Host("mirror", Address("203.0.113.20")))),
-        "host address(es) used twice: 203.0.113.20",
+        "duplicate host address(es): 203.0.113.20",
     ),
     "rule-unknown-host": (
         dict(rules=(FilterRule(RuleAction.ALLOW, "probe", "ghost"),)),
@@ -265,14 +271,6 @@ _REFUSED = {
         "packet 1: source 'ghost' is not an external host",
     ),
     "empty-traffic": (dict(traffic=()), "traffic list is empty"),
-    "traffic-ttl": (
-        dict(traffic=(TrafficSpec("probe", "target", ttl=300),)),
-        "packet 1: ttl out of range: 300",
-    ),
-    "traffic-proto": (
-        dict(traffic=(TrafficSpec("probe", "target", proto=-1),)),
-        "packet 1: proto out of range: -1",
-    ),
     "duplicate-rule-order": (dict(rules=_BASE.rules * 2), "duplicate rule order(s): 0"),
     "duplicate-account": (
         _claiming("r2", accounts=_ROOT + (AdminAccount("root", "other"),)),
@@ -427,12 +425,16 @@ def _scenarios(draw):
             st.just(claims + claims[:1])
             | st.lists(st.sampled_from(_REAL + ["r9"]), max_size=4).map(tuple),
         ),
-        auth_mode=pick("capabilities", st.sampled_from(list(AuthMode)), st.none()),
-        link_layer=pick("capabilities", st.just(True), st.booleans()),
-        filter_fields=pick(
-            "capabilities", st.just(("proto", "ttl")), st.sampled_from([(), ("proto",), ("ttl",)])
+        capabilities=Capabilities(
+            auth_mode=pick("capabilities", st.sampled_from(list(AuthMode)), st.none()),
+            link_layer=pick("capabilities", st.just(True), st.booleans()),
+            filter_fields=pick(
+                "capabilities",
+                st.just(("proto", "ttl")),
+                st.sampled_from([(), ("proto",), ("ttl",)]),
+            ),
+            integrity_trigger=pick("capabilities", st.just(True), st.booleans()),
         ),
-        integrity_trigger=pick("capabilities", st.just(True), st.booleans()),
         seed=pick("seed", st.integers(0, 3), st.just(-1)),
         external=external,
         internal=internal,

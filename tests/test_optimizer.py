@@ -121,3 +121,19 @@ def test_exact_search_matches_enumeration_and_the_oracle():
             assert (plan.total_time, plan.total_cost) == expected[:2], trial
             assert tuple(c.variant_id for c in plan.chosen) == expected[2], trial
         assert fast.chosen == slow.chosen
+
+
+def test_no_budget_plans_as_a_budget_of_the_dearest_variants():
+    rng = random.Random(1010)
+    for trial in range(500):
+        catalog = {}
+        for i in range(rng.randrange(1, 6)):
+            rid = f"r{i}"
+            catalog[rid] = [
+                v(rid, f"v{j}", rng.randrange(0, 5), rng.randrange(0, 9))
+                for j in range(rng.randrange(1, 5))
+            ]
+        dearest = sum(max(c.cost for c in group) for group in catalog.values())
+        unlimited = optimize_plan(catalog, None)
+        assert unlimited.chosen == optimize_plan(catalog, dearest).chosen, trial
+        assert unlimited.budget is None

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from fwconform.errors import ScenarioParseError, ScenarioValidationError
-from fwconform.firewall import AuthMode, FaultName
+from fwconform.firewall import AuthMode, FaultName, FilterRule, RuleAction
+from fwconform.formal import Capabilities
 from fwconform.scenario import (
     check_scenario,
     load_scenario,
@@ -12,6 +13,7 @@ from fwconform.scenario import (
     resolve_rules,
     validate_scenario,
 )
+from fwconform.testbench import TrafficSpec
 
 REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference.scn"
 
@@ -34,7 +36,7 @@ def test_reference_scenario_parses_into_the_expected_shape():
     assert sc.name == "reference-fw"
     assert sc.claims == ("r1", "r1-link", "r1-fields", "r2", "r3")
     assert sc.requirements == sc.claims
-    assert sc.auth_mode is AuthMode.REMOTE
+    assert sc.capabilities == Capabilities(auth_mode=AuthMode.REMOTE)
     assert sc.seed == 42
     assert [h.name for h in sc.external] == ["ext1", "ext2"]
     assert [h.name for h in sc.internal] == ["int1", "int2"]
@@ -122,6 +124,64 @@ def test_rule_and_traffic_macs_use_the_address_check():
     ]
 
 
+_RULE = FilterRule(RuleAction.ALLOW, "probe", "target")
+_SPEC = TrafficSpec("probe", "target")
+
+# Records built or replaced in code with a value they must refuse, and the
+# owner's text for it.
+_UNBUILDABLE = {
+    "rule-proto": (
+        lambda: FilterRule(RuleAction.ALLOW, "probe", "target", proto=300),
+        "proto out of range: 300",
+    ),
+    "rule-ttl": (lambda: replace(_RULE, ttl_min=-1), "ttl out of range: -1"),
+    "rule-ttl-max": (lambda: replace(_RULE, ttl_min=0, ttl_max=256), "ttl out of range: 256"),
+    "rule-empty-ttl": (lambda: replace(_RULE, ttl_min=90, ttl_max=10), "empty ttl range 90-10"),
+    "rule-mac": (lambda: replace(_RULE, src_link="zz"), "bad link-layer address: 'zz'"),
+    "traffic-ttl": (lambda: TrafficSpec("probe", "target", ttl=300), "ttl out of range: 300"),
+    "traffic-proto": (lambda: replace(_SPEC, proto=-1), "proto out of range: -1"),
+    "traffic-mac": (lambda: replace(_SPEC, dst_link="zz"), "bad link-layer address: 'zz'"),
+}
+
+
+@pytest.mark.parametrize("build, text", _UNBUILDABLE.values(), ids=_UNBUILDABLE.keys())
+def test_records_refuse_bad_values_when_built(build, text):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == text
+
+
+def test_records_store_macs_in_lower_case():
+    mac = "02:00:5E:10:00:AA"
+    assert replace(_RULE, src_link=mac, dst_link=mac).dst_link == mac.lower()
+    assert TrafficSpec("probe", "target", src_link=mac).src_link == mac.lower()
+
+
+# A bad option value on a [rules] or [traffic] line, and the same value
+# given to the record in code.
+_BAD_OPTIONS = {
+    "allow probe target proto=300": lambda: replace(_RULE, proto=300),
+    "allow probe target ttl=300": lambda: replace(_RULE, ttl_min=300, ttl_max=300),
+    "allow probe target ttl=10-300": lambda: replace(_RULE, ttl_min=10, ttl_max=300),
+    "allow probe target ttl=90-10": lambda: replace(_RULE, ttl_min=90, ttl_max=10),
+    "allow probe target src-mac=zz": lambda: replace(_RULE, src_link="zz"),
+    "packet probe target proto=-1": lambda: replace(_SPEC, proto=-1),
+    "packet probe target ttl=300": lambda: replace(_SPEC, ttl=300),
+    "packet probe target dst-mac=zz": lambda: replace(_SPEC, dst_link="zz"),
+}
+
+
+@pytest.mark.parametrize("directive, build", _BAD_OPTIONS.items(), ids=_BAD_OPTIONS.keys())
+def test_a_bad_option_value_reads_the_same_at_parse_time_as_in_code(directive, build):
+    section = "rules" if directive.startswith("allow") else "traffic"
+    text = f"{MINIMAL}\n[{section}]\n{directive}\n"
+    with pytest.raises(ValueError) as built:
+        build()
+    with pytest.raises(ScenarioParseError) as caught:
+        parse_scenario(text)
+    assert caught.value.problems == [f"line {len(text.splitlines())}: {built.value}"]
+
+
 def test_single_ttl_value_pins_both_bounds():
     sc = parse_scenario(MINIMAL.replace("allow probe target", "allow probe target ttl=64"))
     assert (sc.rules[0].ttl_min, sc.rules[0].ttl_max) == (64, 64)
@@ -133,10 +193,9 @@ def test_profile_switches():
         "claims r1\nauth none\nlink-layer off\nfilter-fields none\nintegrity-trigger off",
     )
     sc = parse_scenario(text)
-    assert sc.auth_mode is None
-    assert sc.link_layer is False
-    assert sc.filter_fields == ()
-    assert sc.integrity_trigger is False
+    assert sc.capabilities == Capabilities(
+        link_layer=False, filter_fields=(), auth_mode=None, integrity_trigger=False
+    )
     assert validate_scenario(sc) == []
 
 

@@ -9,7 +9,6 @@ from fwconform.errors import (
     InapplicableRule,
     InsufficientAttemptCoverage,
     NoMonitoredFiles,
-    OverlappingSegments,
     UnknownHost,
 )
 from fwconform.firewall import (
@@ -79,7 +78,7 @@ def test_build_rejects_empty_segments():
 
 
 def test_build_rejects_shared_addresses_and_names():
-    with pytest.raises(OverlappingSegments):
+    with pytest.raises(DuplicateEntry):
         bench(internal=[Host("x", Address("198.51.100.10"))])
     with pytest.raises(ValueError):
         bench(internal=[Host("ext1", Address("203.0.113.20"))])
@@ -88,17 +87,23 @@ def test_build_rejects_shared_addresses_and_names():
 @pytest.mark.parametrize(
     "external, internal, error, text",
     [
-        (EXT, [], EmptySegment, "protected segment has no hosts"),
-        ([], INT, EmptySegment, "outside segment has no hosts"),
+        (EXT, [], EmptySegment, "no internal hosts"),
+        ([], INT, EmptySegment, "no external hosts"),
         (EXT, [Host("ext1", INT[0].address)], DuplicateEntry, "duplicate host name(s): ext1"),
         (
             EXT,
             [Host("x", Address("198.51.100.10"))],
-            OverlappingSegments,
-            "addresses on both segments: 198.51.100.10",
+            DuplicateEntry,
+            "duplicate host address(es): 198.51.100.10",
+        ),
+        (
+            EXT,
+            [*INT, Host("x", INT[1].address)],
+            DuplicateEntry,
+            "duplicate host address(es): 203.0.113.21",
         ),
     ],
-    ids=["no-inside", "no-outside", "twin-name", "shared-address"],
+    ids=["no-inside", "no-outside", "twin-name", "shared-address", "address-twice-inside"],
 )
 def test_a_bench_built_directly_checks_its_segments(external, internal, error, text):
     for build in (
