@@ -1,35 +1,28 @@
 """Acceptance criteria over collected evidence.
 
 Each evaluator reduces one evidence bundle to labelled criterion bits.
-The screening criteria are set equations: project traffic and journal
-records onto address tuples, then require exact equality between what
-the product did and what the loaded rule set demands.
+The screening criteria are set equations between what the product did
+and what the loaded rule set demands.  Both sides are read from one
+per-probe ledger (`probe_ledger`): a row per probe, in probe order, with
+its address pair, its comparison key at the run's level, the rule that
+decides it (None for the default stance) and whether it was delivered.
+The ledger is worked out from the evidence alone, so a saved report
+rebuilds the same one.
 
-The expected side is computed here, over the same probe traffic, with a
-deliberately separate first-match evaluator.  Keeping it apart from the
-product's own matcher is what lets a product defect show up as a set
-mismatch rather than cancelling out.
-
-For the same reason the verdict keeps its own pair index rather than
-borrowing the product's: it sorts the evidence rules once, buckets them
-by (src, dst) and runs the reference first-match over the probe's
-bucket, once per probe.  A product whose index misfiled or lost a rule
-then disagrees with this side instead of sharing the mistake.
+The deciding rule comes from a deliberately separate first-match
+evaluator with its own pair index.  Keeping it apart from the product's
+matcher is what lets a product defect, a misfiled or lost rule included,
+show up as a set mismatch rather than cancelling out.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import IncompleteEvidence
 from .formal import CriterionResult
-from .firewall import FilterRule, JournalEntry, Packet, RuleAction
-from .testbench import (
-    AuthEvidence,
-    FilterEvidence,
-    FilterLevel,
-    IntegrityEvidence,
-)
+from .firewall import AUTH_EVENTS, FilterRule, JournalEntry, JournalEvent, Packet, RuleAction
+from .testbench import AuthEvidence, FilterEvidence, FilterLevel, IntegrityEvidence
 
 FORWARD_MATCHES_ALLOW = "forwarded-set-matches-allow-rules"
 DROP_MATCHES_DENY = "dropped-set-matches-deny-rules"
@@ -81,18 +74,11 @@ def _level_tuple(packet: Packet, level: FilterLevel) -> tuple:
     if level is FilterLevel.NETWORK:
         return (packet.src.net, packet.dst.net)
     if level is FilterLevel.LINK:
-        return (
-            packet.src.net,
-            packet.src.link or "",
-            packet.dst.net,
-            packet.dst.link or "",
-        )
+        return (packet.src.net, packet.src.link or "", packet.dst.net, packet.dst.link or "")
     return (packet.src.net, packet.dst.net, packet.proto, packet.ttl)
 
 
-def _first_match_in_order(
-    ordered: Iterable[FilterRule], packet: Packet
-) -> RuleAction | None:
+def _first_match_in_order(ordered: Iterable[FilterRule], packet: Packet) -> FilterRule | None:
     """Reference first-match semantics over rules already in `order` order; None if none match."""
     for rule in ordered:
         if rule.src != packet.src.net:
@@ -109,20 +95,37 @@ def _first_match_in_order(
             continue
         if rule.ttl_max is not None and packet.ttl > rule.ttl_max:
             continue
-        return rule.action
+        return rule
     return None
 
 
-def _pair_index(rules: Sequence[FilterRule]) -> dict[tuple[str, str], list[FilterRule]]:
-    """Rules bucketed by their (sender, recipient) pair, each bucket in order."""
-    index: dict[tuple[str, str], list[FilterRule]] = {}
-    for rule in sorted(rules, key=lambda r: r.order):
-        index.setdefault(project(rule), []).append(rule)
-    return index
+class ProbeRow(NamedTuple):
+    """What the verdict knows about one probe."""
+
+    pair: tuple[str, str]
+    key: tuple  # the probe at the run's level, as `_level_tuple` projects it
+    rule: FilterRule | None  # the reference first match; None: the default stance
+    delivered: bool
 
 
-def _journal_pairs(entries: Iterable[JournalEntry]) -> PairSet:
-    return PairSet(project(e) for e in entries)
+def probe_ledger(evidence: FilterEvidence) -> tuple[ProbeRow, ...]:
+    """One row per probe, in probe order, worked out from the evidence alone."""
+    by_pair: dict[tuple[str, str], list[FilterRule]] = {}
+    for rule in sorted(evidence.rules, key=lambda r: r.order):
+        by_pair.setdefault(project(rule), []).append(rule)
+    out_tags = {p.payload_tag for p in evidence.packet_out}
+    stray = out_tags.difference(p.payload_tag for p in evidence.packet_in)
+    if stray:
+        raise IncompleteEvidence(f"delivered packet {min(stray)} is not a probe")
+    level = evidence.level
+    rows = []
+    for packet in evidence.packet_in:
+        pair = project(packet)
+        rule = _first_match_in_order(by_pair.get(pair, ()), packet)
+        rows.append(
+            ProbeRow(pair, _level_tuple(packet, level), rule, packet.payload_tag in out_tags)
+        )
+    return tuple(rows)
 
 
 def evaluate_filter_criteria(evidence: FilterEvidence) -> tuple[CriterionResult, ...]:
@@ -134,40 +137,30 @@ def evaluate_filter_criteria(evidence: FilterEvidence) -> tuple[CriterionResult,
     """
     if not evidence.packet_in:
         raise IncompleteEvidence("no probe traffic sent")
-    level = evidence.level
-    out_tags = {p.payload_tag for p in evidence.packet_out}
-    blocked = tuple(p for p in evidence.packet_in if p.payload_tag not in out_tags)
-
-    by_pair = _pair_index(evidence.rules)
-    expected = [
-        (p, _first_match_in_order(by_pair.get(project(p), ()), p)) for p in evidence.packet_in
-    ]
-    expect_forward = PairSet(
-        _level_tuple(p, level) for p, action in expected if action is RuleAction.ALLOW
-    )
-    expect_drop = PairSet(
-        _level_tuple(p, level) for p, action in expected if action is not RuleAction.ALLOW
-    )
-    default_denied = sum(1 for _, action in expected if action is None)
-    actual_forward = PairSet(_level_tuple(p, level) for p in evidence.packet_out)
-    actual_drop = PairSet(_level_tuple(p, level) for p in blocked)
+    rows = probe_ledger(evidence)
+    allowed = [r.rule is not None and r.rule.action is RuleAction.ALLOW for r in rows]
+    expect_forward = PairSet(r.key for r, allow in zip(rows, allowed) if allow)
+    expect_drop = PairSet(r.key for r, allow in zip(rows, allowed) if not allow)
+    actual_forward = PairSet(r.key for r in rows if r.delivered)
+    actual_drop = PairSet(r.key for r in rows if not r.delivered)
+    default_denied = sum(r.rule is None for r in rows)
     note = f", {default_denied} probe(s) falling to the default stance" if default_denied else ""
 
     # Journal entries carry (sender, recipient) pairs whatever the level.
-    out_pairs = PairSet(project(p) for p in evidence.packet_out)
-    blocked_pairs = PairSet(project(p) for p in blocked)
-    logged_allowed = _journal_pairs(evidence.journal_allowed)
-    logged_denied = _journal_pairs(evidence.journal_denied)
+    out_pairs = PairSet(r.pair for r in rows if r.delivered)
+    blocked_pairs = PairSet(r.pair for r in rows if not r.delivered)
+    logged_allowed = PairSet(map(project, evidence.journal_allowed))
+    logged_denied = PairSet(map(project, evidence.journal_denied))
 
     # (label, actual, expected, what a passing detail counts, suffix of either detail)
-    rows = (
+    equations = (
         (FORWARD_MATCHES_ALLOW, actual_forward, expect_forward, "delivered tuple(s)", ""),
         (DROP_MATCHES_DENY, actual_drop, expect_drop, "blocked tuple(s)", note),
         (JOURNAL_MATCHES_FORWARD, logged_allowed, out_pairs, "journaled pass pair(s)", ""),
         (JOURNAL_MATCHES_DROP, logged_denied, blocked_pairs, "journaled block pair(s)", ""),
     )
     results = []
-    for label, got, want, noun, suffix in rows:
+    for label, got, want, noun, suffix in equations:
         bit = int(got == want)
         detail = f"{len(got)} {noun}" if bit else got.mismatch(want)
         results.append(CriterionResult(label, bit, detail + suffix))
@@ -208,14 +201,10 @@ def evaluate_auth_criteria(evidence: AuthEvidence) -> tuple[CriterionResult, ...
     ]
 
     expected_log = [
-        ("auth_accepted" if a.granted else "auth_rejected", (a.identifier,))
+        (JournalEvent.AUTH_ACCEPTED if a.granted else JournalEvent.AUTH_REJECTED, (a.identifier,))
         for a in evidence.attempts
     ]
-    auth_entries = [
-        (e.event.value, e.subject)
-        for e in evidence.journal
-        if e.event.value in ("auth_accepted", "auth_rejected")
-    ]
+    auth_entries = [(e.event, e.subject) for e in evidence.journal if e.event in AUTH_EVENTS]
     seqs = [e.seq for e in evidence.journal]
     ordered = seqs == sorted(seqs)
     bit = int(auth_entries == expected_log and ordered)

@@ -32,6 +32,35 @@ def oracle_forwarded_tags(rules, packets):
     }
 
 
+def oracle_filter_bits(evidence):
+    """The four screening bits, in label order, from traffic in, traffic out and journal.
+
+    Forwarded/dropped keys at the evidence's level against the allow/deny
+    keys the rules demand, then the journal's (src, dst) pairs against the
+    forwarded/dropped pairs.
+    """
+    def key(p):
+        if evidence.level.value == "network":
+            return (p.src.net, p.dst.net)
+        if evidence.level.value == "link":
+            return (p.src.net, p.src.link or "", p.dst.net, p.dst.link or "")
+        return (p.src.net, p.dst.net, p.proto, p.ttl)
+
+    out_tags = {p.payload_tag for p in evidence.packet_out}
+    blocked = [p for p in evidence.packet_in if p.payload_tag not in out_tags]
+    decided = [(p, oracle_first_match(evidence.rules, p)) for p in evidence.packet_in]
+    want_forward = {key(p) for p, action in decided if action == "allow"}
+    want_drop = {key(p) for p, action in decided if action != "allow"}
+    logged_pass = {(e.subject[0], e.subject[1]) for e in evidence.journal_allowed}
+    logged_block = {(e.subject[0], e.subject[1]) for e in evidence.journal_denied}
+    return (
+        int({key(p) for p in evidence.packet_out} == want_forward),
+        int({key(p) for p in blocked} == want_drop),
+        int(logged_pass == {(p.src.net, p.dst.net) for p in evidence.packet_out}),
+        int(logged_block == {(p.src.net, p.dst.net) for p in blocked}),
+    )
+
+
 def oracle_conform(claim_bits, outcome_bits):
     """Campaign verdict as the literal product over claim*outcome pairs."""
     result = 1

@@ -383,9 +383,9 @@ def test_invert_rule_index_must_exist():
     "fault, problem",
     [
         (Fault(FaultName.INVERT_RULE, 1), "invert_rule:1: rule index outside the 1-rule set"),
-        (Fault(FaultName.INVERT_RULE, "0"), "invert_rule:0: rule index outside the 1-rule set"),
-        (Fault(FaultName.IGNORE_FIELD, "payload"), "ignore_field:payload: cannot target 'payload'"),
-        (Fault(FaultName.SKIP_JOURNAL, "auth"), "skip_journal:auth: cannot target 'auth'"),
+        (Fault(FaultName.INVERT_RULE, -1), "invert_rule:-1: rule index outside the 1-rule set"),
+        (Fault(FaultName.BLIND_INTEGRITY, "A.CONF"), "blind_integrity:A.CONF: unknown file 'A.CONF'"),
+        (Fault(FaultName.BLIND_INTEGRITY, "a"), "blind_integrity:a: unknown file 'a'"),
         (Fault(FaultName.BLIND_INTEGRITY, "ghost"), "blind_integrity:ghost: unknown file 'ghost'"),
         (Fault(FaultName.LEAK_CREDENTIALS), "leak_credentials: needs remote sign-on mode"),
     ],
@@ -395,6 +395,39 @@ def test_inject_fault_says_why_a_fault_cannot_apply(fault, problem):
     with pytest.raises(InapplicableFault) as caught:
         inject_fault(fw, fault)
     assert str(caught.value) == f"fault {problem}"
+
+
+@pytest.mark.parametrize(
+    "name, param, problem",
+    [
+        (FaultName.INVERT_RULE, "0", "invert_rule parameter must be an integer: '0'"),
+        (FaultName.INVERT_RULE, True, "invert_rule parameter must be an integer: True"),
+        (FaultName.INVERT_RULE, None, "fault invert_rule needs a parameter (rule index)"),
+        (
+            FaultName.IGNORE_FIELD,
+            "payload",
+            "ignore_field parameter must be one of link, proto, ttl: 'payload'",
+        ),
+        (
+            FaultName.SKIP_JOURNAL,
+            "auth",
+            "skip_journal parameter must be one of pass_allowed, pass_denied: 'auth'",
+        ),
+        (FaultName.ACCEPT_ANY_PASSWORD, "x", "fault accept_any_password takes no parameter"),
+        (FaultName.BLIND_INTEGRITY, "", "fault blind_integrity needs a parameter (file id)"),
+        (FaultName.BLIND_INTEGRITY, 3, "blind_integrity parameter must be a string: 3"),
+        ("invert_rule", 0, "unknown fault: 'invert_rule'"),
+    ],
+)
+def test_a_fault_refuses_a_bad_parameter_when_built(name, param, problem):
+    # The same text whether the fault is built in code or parsed from a spec.
+    with pytest.raises(ValueError) as built:
+        Fault(name, param)
+    assert str(built.value) == problem
+    if isinstance(param, str) and name is not FaultName.INVERT_RULE:
+        with pytest.raises(ValueError) as parsed:
+            Fault.parse(f"{name.value}:{param}")
+        assert str(parsed.value) == problem
 
 
 def test_ignore_field_widens_the_match():

@@ -1,10 +1,13 @@
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import oracle_first_match
+from _oracles import oracle_filter_bits, oracle_first_match
+from fwconform.campaign import run_campaign
 from fwconform.errors import IncompleteEvidence
 from fwconform.firewall import (
     AdminAccount,
@@ -29,6 +32,7 @@ from fwconform.testbench import (
     IntegrityEvidence,
     TrafficSpec,
     build_testbench,
+    filter_level_problem,
     run_auth_procedure,
     run_filter_procedure,
     run_integrity_procedure,
@@ -47,14 +51,20 @@ from fwconform.verdict import (
     evaluate_auth_criteria,
     evaluate_filter_criteria,
     evaluate_integrity_criteria,
+    probe_ledger,
     project,
     _first_match_in_order,
 )
+from fwconform.report import export_report, parse_report
+from fwconform.scenario import load_scenario
+
+REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference.scn"
 
 
 def _first_match_action(rules, packet):
     """Reference screening semantics over rules in any order."""
-    return _first_match_in_order(sorted(rules, key=lambda r: r.order), packet)
+    rule = _first_match_in_order(sorted(rules, key=lambda r: r.order), packet)
+    return rule and rule.action
 
 
 EXT = [
@@ -233,6 +243,93 @@ def test_random_rule_tables_still_satisfy_the_equations(table):
     bench = build_testbench(ext, int_, rules=rules, seed=3)
     results = evaluate_filter_criteria(run_filter_procedure(bench))
     assert all(r.bit == 1 for r in results)
+
+
+_EXT_NETS = ["198.51.100.10", "198.51.100.11", "198.51.100.12"]
+_INT_NETS = ["203.0.113.20", "203.0.113.21", "203.0.113.22"]
+_SPOOFED_MAC = "02:00:5e:ff:ff:ff"
+
+
+@st.composite
+def _filter_benches(draw):
+    """Random hosts (all with MACs), rules and traffic, near rule bounds."""
+    ext = [
+        Host(f"e{i}", Address(net, f"02:00:5e:10:00:0{i}"))
+        for i, net in enumerate(_EXT_NETS[: draw(st.integers(1, 3))])
+    ]
+    int_ = [
+        Host(f"i{i}", Address(net, f"02:00:5e:20:00:0{i}"))
+        for i, net in enumerate(_INT_NETS[: draw(st.integers(1, 3))])
+    ]
+    macs = st.none() | st.sampled_from([h.address.link for h in ext + int_] + [_SPOOFED_MAC])
+    rules = []
+    for order in draw(st.lists(st.integers(0, 50), unique=True, max_size=6)):
+        low, high = draw(st.sampled_from([None, 16, 64])), draw(st.sampled_from([None, 64, 128]))
+        rules.append(
+            FilterRule(
+                draw(st.sampled_from(RuleAction)),
+                draw(st.sampled_from(ext)).address.net,
+                draw(st.sampled_from(int_)).address.net,
+                order=order,
+                src_link=draw(macs),
+                dst_link=draw(macs),
+                proto=draw(st.sampled_from([None, 6, 17])),
+                ttl_min=low,
+                ttl_max=high,
+            )
+        )
+    spec = st.builds(
+        TrafficSpec,
+        src=st.sampled_from([h.name for h in ext]),
+        dst=st.sampled_from([h.name for h in int_]),
+        proto=st.none() | st.sampled_from([6, 17]),
+        ttl=st.none() | st.sampled_from([15, 16, 64, 65, 128, 129]),
+        src_link=macs,
+        dst_link=macs,
+    )
+    return ext, int_, rules, draw(st.lists(spec, min_size=1, max_size=12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_filter_benches())
+def test_ledger_and_bits_agree_with_the_oracles_under_every_filter_fault(bench_parts):
+    ext, int_, rules, traffic = bench_parts
+    specs = [None, "ignore_field:link", "ignore_field:proto", "ignore_field:ttl"]
+    specs += ["skip_journal:pass_allowed", "skip_journal:pass_denied"]
+    specs += [f"invert_rule:{k}" for k in range(len(rules))]
+    levels = [lv for lv in FilterLevel if not filter_level_problem(lv, ext + int_, rules)]
+    for spec in specs:
+        faults = [Fault.parse(spec)] if spec else []
+        bench = build_testbench(ext, int_, rules=rules, faults=faults, seed=1)
+        for level in levels:
+            ev = run_filter_procedure(bench, level, traffic)
+            rows = probe_ledger(ev)
+            out_tags = {p.payload_tag for p in ev.packet_out}
+            assert len(rows) == len(ev.packet_in)
+            for row, probe in zip(rows, ev.packet_in):
+                assert row.pair == (probe.src.net, probe.dst.net)
+                assert (row.rule and row.rule.action.value) == oracle_first_match(ev.rules, probe)
+                assert row.delivered == (probe.payload_tag in out_tags)
+            bits = tuple(r.bit for r in evaluate_filter_criteria(ev))
+            assert bits == oracle_filter_bits(ev), (spec, level)
+
+
+@pytest.mark.parametrize("spec", [None, "invert_rule:0", "ignore_field:ttl"])
+def test_a_saved_report_rebuilds_the_same_ledger(spec):
+    faults = [Fault.parse(spec)] if spec else None
+    report = run_campaign(load_scenario(str(REFERENCE)), faults)
+    reread = parse_report(export_report(report))
+    live = [r.evidence for r in report.procedures if isinstance(r.evidence, FilterEvidence)]
+    saved = [r.evidence for r in reread.procedures if isinstance(r.evidence, FilterEvidence)]
+    assert len(live) == 3
+    assert [probe_ledger(ev) for ev in saved] == [probe_ledger(ev) for ev in live]
+
+
+def test_a_delivered_packet_that_was_never_sent_is_refused():
+    ev = filter_evidence()
+    stray = replace(ev.packet_in[0], payload_tag=999)
+    with pytest.raises(IncompleteEvidence, match="delivered packet 999 is not a probe"):
+        evaluate_filter_criteria(replace(ev, packet_out=ev.packet_out + (stray,)))
 
 
 def auth_evidence(faults=(), **kw):
