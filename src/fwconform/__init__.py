@@ -33,6 +33,7 @@ from .formal import (
     CampaignVerdict,
     Capabilities,
     CriterionResult,
+    FilterLevel,
     FirewallProfile,
     ProcedureOutcome,
     Requirement,
@@ -52,7 +53,6 @@ from .scenario import (
     validate_scenario,
 )
 from .testbench import (
-    FilterLevel,
     Host,
     Testbench,
     TrafficSpec,

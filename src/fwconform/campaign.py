@@ -21,6 +21,7 @@ from typing import Sequence
 from .firewall import Address, AuthMode, Fault, FilterRule
 from .formal import (
     ALL_REQUIREMENTS,
+    FILTER_LEVELS,
     Campaign,
     ProcedureOutcome,
     RequirementKind,
@@ -31,7 +32,6 @@ from .optimizer import optimize_plan
 from .report import ProcedureRecord, Report, ReportMetadata, paused_collector
 from .scenario import Scenario, check_scenario, resolve_rules
 from .testbench import (
-    FILTER_LEVELS,
     Testbench,
     build_testbench,
     run_auth_procedure,

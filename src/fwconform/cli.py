@@ -18,7 +18,7 @@ from .errors import FwconformError, ScenarioError, ScenarioValidationError
 from .firewall import Fault
 from .optimizer import optimize_plan
 from .report import export_report, parse_report
-from .scenario import load_scenario, parse_scenario, validate_scenario
+from .scenario import load_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,15 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(args) -> int:
-    with open(args.scenario, encoding="utf-8") as handle:
-        text = handle.read()
-    scenario = parse_scenario(text)
-    problems = validate_scenario(scenario)
-    if problems:
-        for problem in problems:
-            print(problem, file=sys.stderr)
-        return 2
-    print(f"scenario ok: {scenario.name}")
+    print(f"scenario ok: {load_scenario(args.scenario).name}")
     return 0
 
 

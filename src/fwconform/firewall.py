@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import Counter
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence
 
@@ -280,17 +281,25 @@ class Fault:
         except ValueError:
             raise ValueError(f"unknown fault: {head!r}") from None
         param = raw if sep else None
-        if name is FaultName.INVERT_RULE and raw:
-            try:
-                param = int(raw)
-            except ValueError:
-                raise ValueError(f"invert_rule parameter must be an integer: {raw!r}") from None
+        if name is FaultName.INVERT_RULE:
+            with suppress(ValueError):  # plain decimal only, as spec_text writes it
+                if str(int(raw)) == raw:
+                    param = int(raw)
         return cls(name, param)
 
     def spec_text(self) -> str:
         if self.param is None:
             return self.name.value
         return f"{self.name.value}:{self.param}"
+
+
+# What the rule engine's faults do to the product's own copy of a rule.
+_OPPOSITE = {RuleAction.ALLOW: RuleAction.DENY, RuleAction.DENY: RuleAction.ALLOW}
+_UNCONSTRAINED = {
+    "link": {"src_link": None, "dst_link": None},
+    "proto": {"proto": None},
+    "ttl": {"ttl_min": None, "ttl_max": None},
+}
 
 
 def fault_problem(
@@ -341,13 +350,16 @@ class Firewall:
     Single-threaded: the journal and file store are mutable.  Distinct
     instances are fully independent.
 
-    Every rule is exact on its (src, dst) address pair, so the rule engine
-    keeps a pair index: each pair maps to its rules in `order` order, each
-    tagged with its position in the whole order-sorted list.  Screening a
-    packet scans only its pair's bucket, and a fault that names a rule
-    index (`invert_rule`) still means that global position.  Rules,
-    accounts, files and faults are all fixed at construction, so the
-    index and the sets the hot paths consult are worked out once there.
+    Faults are built in when the product is made.  The rule engine's
+    faults rewrite its own order-sorted copy of the rules: `invert_rule:k`
+    gives the rule at position k of that list the opposite action, and
+    `ignore_field:f` drops every rule's constraint on f.  Every rule is
+    exact on its (src, dst) address pair, so the engine then keeps a pair
+    index of the rewritten rules, each bucket in `order` order, and
+    screening a packet scans only its pair's bucket and reads no fault.
+    The journal's faults become the set of event kinds it drops, and the
+    other mechanisms look theirs up in one map from fault name to
+    parameters.
     """
 
     def __init__(
@@ -362,15 +374,12 @@ class Firewall:
         self.auth_mode = auth_mode
         self.management = management if management is not None else DEFAULT_MANAGEMENT
         self.faults = tuple(faults)
-        self._ignored_fields = frozenset(
-            str(f.param) for f in self.faults if f.name is FaultName.IGNORE_FIELD
-        )
-        self._inverted_rules = frozenset(
-            f.param for f in self.faults if f.name is FaultName.INVERT_RULE
-        )
-        skipped = {f.param for f in self.faults if f.name is FaultName.SKIP_JOURNAL}
+        self._fault_params: dict[FaultName, set] = {}
+        for fault in self.faults:
+            self._fault_params.setdefault(fault.name, set()).add(fault.param)
+        skipped = self._fault_params.get(FaultName.SKIP_JOURNAL, ())
         self._unjournaled = frozenset(e for e in FILTER_EVENTS if e.value in skipped)
-        if self._has_fault(FaultName.OMIT_AUTH_JOURNAL):
+        if FaultName.OMIT_AUTH_JOURNAL in self._fault_params:
             self._unjournaled |= frozenset(AUTH_EVENTS)
         for problem in (
             rule_order_problem(rules), account_id_problem(accounts), file_id_problem(files)
@@ -379,9 +388,17 @@ class Firewall:
                 raise DuplicateEntry(problem)
         self._journal: list[JournalEntry] = []
         self._seq = 0
-        self._buckets: dict[tuple[str, str], list[tuple[int, FilterRule]]] = {}
+        inverted = self._fault_params.get(FaultName.INVERT_RULE, ())
+        ignored = {}
+        for field in self._fault_params.get(FaultName.IGNORE_FIELD, ()):
+            ignored.update(_UNCONSTRAINED[field])
+        self._buckets: dict[tuple[str, str], list[FilterRule]] = {}
         for index, rule in enumerate(sorted(rules, key=lambda r: r.order)):
-            self._buckets.setdefault((rule.src, rule.dst), []).append((index, rule))
+            if index in inverted:
+                rule = replace(rule, action=_OPPOSITE[rule.action])
+            if ignored:
+                rule = replace(rule, **ignored)
+            self._buckets.setdefault((rule.src, rule.dst), []).append(rule)
         self._accounts = tuple(accounts)
         self._files = {
             a.file_id: FileArtifact(a.file_id, bytes(a.content), a.baseline_digest) for a in files
@@ -406,10 +423,7 @@ class Firewall:
     ) -> None:
         self._console = (sink, make_tag, console)
 
-    # -- fault plumbing ----------------------------------------------------
-
-    def _has_fault(self, name: FaultName, param=None) -> bool:
-        return any(f.name is name and (param is None or f.param == param) for f in self.faults)
+    # -- journal writing ---------------------------------------------------
 
     def _journal_event(self, event: JournalEvent, subject: tuple[str, ...]) -> None:
         if event in self._unjournaled:
@@ -421,20 +435,16 @@ class Firewall:
 
     def _fields_match(self, rule: FilterRule, packet: Packet) -> bool:
         # The address pair already matched: the rule came from its bucket.
-        ignored = self._ignored_fields
-        if "link" not in ignored:
-            if rule.src_link is not None and rule.src_link != packet.src.link:
-                return False
-            if rule.dst_link is not None and rule.dst_link != packet.dst.link:
-                return False
-        if "proto" not in ignored:
-            if rule.proto is not None and rule.proto != packet.proto:
-                return False
-        if "ttl" not in ignored:
-            if rule.ttl_min is not None and packet.ttl < rule.ttl_min:
-                return False
-            if rule.ttl_max is not None and packet.ttl > rule.ttl_max:
-                return False
+        if rule.src_link is not None and rule.src_link != packet.src.link:
+            return False
+        if rule.dst_link is not None and rule.dst_link != packet.dst.link:
+            return False
+        if rule.proto is not None and rule.proto != packet.proto:
+            return False
+        if rule.ttl_min is not None and packet.ttl < rule.ttl_min:
+            return False
+        if rule.ttl_max is not None and packet.ttl > rule.ttl_max:
+            return False
         return True
 
     def filter_packet(self, packet: Packet) -> Decision:
@@ -444,13 +454,9 @@ class Firewall:
         every screened packet leaves a journal entry.
         """
         action = None
-        for index, rule in self._buckets.get((packet.src.net, packet.dst.net), ()):
+        for rule in self._buckets.get((packet.src.net, packet.dst.net), ()):
             if self._fields_match(rule, packet):
                 action = rule.action
-                if index in self._inverted_rules:
-                    action = (
-                        RuleAction.DENY if action is RuleAction.ALLOW else RuleAction.ALLOW
-                    )
                 break
         decision = Decision.FORWARDED if action is RuleAction.ALLOW else Decision.DROPPED
         event = (
@@ -475,9 +481,9 @@ class Firewall:
             a.identifier == identifier and a.password == password for a in self._accounts
         )
         known_id = any(a.identifier == identifier for a in self._accounts)
-        if self._has_fault(FaultName.ACCEPT_ANY_PASSWORD) and known_id:
+        if FaultName.ACCEPT_ANY_PASSWORD in self._fault_params and known_id:
             granted = True
-        if self._has_fault(FaultName.ACCEPT_UNKNOWN_ID) and not known_id:
+        if FaultName.ACCEPT_UNKNOWN_ID in self._fault_params and not known_id:
             granted = True
         event = JournalEvent.AUTH_ACCEPTED if granted else JournalEvent.AUTH_REJECTED
         self._journal_event(event, (identifier,))
@@ -489,7 +495,7 @@ class Firewall:
         if self._console is None:  # no bench connected: the exchange goes nowhere
             return
         sink, make_tag, console = self._console
-        if self._has_fault(FaultName.LEAK_CREDENTIALS):
+        if FaultName.LEAK_CREDENTIALS in self._fault_params:
             request = f"console-signon attempt={index} id={identifier} pwd={password}"
         else:
             token = hashlib.sha256(f"{identifier}\x00{password}".encode()).hexdigest()[:16]
@@ -533,11 +539,10 @@ class Firewall:
         """
         if not self._baselines_recorded:
             raise MechanismInactive("integrity baselines were never recorded")
+        blind = self._fault_params.get(FaultName.BLIND_INTEGRITY, ())
         report: dict[str, int] = {}
         for file_id, artifact in self._files.items():
-            violated = digest(artifact.content) != artifact.baseline_digest
-            if violated and self._has_fault(FaultName.BLIND_INTEGRITY, file_id):
-                violated = False
+            violated = file_id not in blind and digest(artifact.content) != artifact.baseline_digest
             report[file_id] = int(violated)
             if violated:
                 self._journal_event(JournalEvent.INTEGRITY_ALARM, (file_id,))

@@ -27,11 +27,20 @@ class RequirementKind(Enum):
     INTEGRITY_CONTROL = "integrity-control"
 
 
-FILTER_KINDS = (
-    RequirementKind.NET_FILTER,
-    RequirementKind.LINK_FILTER,
-    RequirementKind.FIELD_FILTER,
-)
+class FilterLevel(Enum):
+    """Granularity at which a screening procedure compares traffic to rules."""
+
+    NETWORK = "network"
+    LINK = "link"
+    FIELDS = "fields"
+
+
+# The screening level each filter requirement is tested at.
+FILTER_LEVELS = {
+    RequirementKind.NET_FILTER: FilterLevel.NETWORK,
+    RequirementKind.LINK_FILTER: FilterLevel.LINK,
+    RequirementKind.FIELD_FILTER: FilterLevel.FIELDS,
+}
 
 
 @dataclass(frozen=True)
@@ -151,7 +160,7 @@ def develop_procedure(profile: FirewallProfile, requirement: Requirement) -> Tes
     if problem:
         raise UnsupportedRequirement(f"{requirement.id}: {problem}")
     proc_id = f"{profile.name}/{requirement.id}"
-    if requirement.kind in FILTER_KINDS:
+    if requirement.kind in FILTER_LEVELS:
         attrs = ", ".join(requirement.params)
         return TestProcedure(
             id=proc_id,

@@ -46,13 +46,13 @@ from .firewall import (
     rule_order_problem,
 )
 from .formal import (
-    ALL_REQUIREMENTS, Capabilities, FirewallProfile, RequirementKind, capability_problem
+    ALL_REQUIREMENTS, FILTER_LEVELS, Capabilities, FirewallProfile, RequirementKind,
+    capability_problem,
 )
 from .optimizer import ProcedureVariant
 from .testbench import (
-    FILTER_LEVELS, Host, TrafficSpec, account_problem, attempt_coverage_problem,
-    filter_level_problem, host_address_problem, host_name_problem, monitored_file_problem,
-    segment_problem,
+    Host, TrafficSpec, account_problem, attempt_coverage_problem, filter_level_problem,
+    host_address_problem, host_name_problem, monitored_file_problem, segment_problem,
 )
 
 _SECTIONS = (
@@ -405,20 +405,14 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 
     external = {h.name for h in scenario.external}
     internal = {h.name for h in scenario.internal}
-    for i, rule in enumerate(scenario.rules):
-        where = f"rule {i + 1}"
-        if rule.src not in external:
-            say(f"{where}: source {rule.src!r} is not an external host")
-        if rule.dst not in internal:
-            say(f"{where}: destination {rule.dst!r} is not an internal host")
+    for noun, records in (("rule", scenario.rules), ("packet", scenario.traffic or ())):
+        for i, record in enumerate(records, start=1):
+            if record.src not in external:
+                say(f"{noun} {i}: source {record.src!r} is not an external host")
+            if record.dst not in internal:
+                say(f"{noun} {i}: destination {record.dst!r} is not an internal host")
     if scenario.traffic == ():
         say("traffic list is empty")
-    for i, spec in enumerate(scenario.traffic or ()):
-        where = f"packet {i + 1}"
-        if spec.src not in external:
-            say(f"{where}: source {spec.src!r} is not an external host")
-        if spec.dst not in internal:
-            say(f"{where}: destination {spec.dst!r} is not an internal host")
 
     if scenario.attempts is not None and scenario.accounts:
         problem = attempt_coverage_problem(scenario.attempts, scenario.accounts)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from enum import Enum
 from itertools import product
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -49,23 +48,7 @@ from .firewall import (
     packet_field_problem,
     split_filter_journal,
 )
-from .formal import RequirementKind
-
-
-class FilterLevel(Enum):
-    """Granularity at which a screening procedure compares traffic to rules."""
-
-    NETWORK = "network"
-    LINK = "link"
-    FIELDS = "fields"
-
-
-# The screening level each filter requirement is tested at.
-FILTER_LEVELS = {
-    RequirementKind.NET_FILTER: FilterLevel.NETWORK,
-    RequirementKind.LINK_FILTER: FilterLevel.LINK,
-    RequirementKind.FIELD_FILTER: FilterLevel.FIELDS,
-}
+from .formal import FilterLevel
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Union
 
 from .errors import IncompleteEvidence
-from .formal import CriterionResult
+from .formal import CriterionResult, FilterLevel
 from .firewall import AUTH_EVENTS, FilterRule, JournalEntry, JournalEvent, Packet, RuleAction
-from .testbench import AuthEvidence, FilterEvidence, FilterLevel, IntegrityEvidence
+from .testbench import AuthEvidence, FilterEvidence, IntegrityEvidence
 
 FORWARD_MATCHES_ALLOW = "forwarded-set-matches-allow-rules"
 DROP_MATCHES_DENY = "dropped-set-matches-deny-rules"

@@ -27,6 +27,39 @@ def test_validate_lists_every_problem(tmp_path, capsys):
     assert "no external hosts" in err
 
 
+@pytest.mark.parametrize(
+    "text, problems",
+    [
+        (
+            "[profile]\nname x\nseed many\n[bogus]\n[rules]\npermit a b\n",
+            [
+                "line 3: invalid literal for int() with base 10: 'many'",
+                "line 4: unknown section [bogus]",
+                "line 6: expected: allow|deny <src-host> <dst-host> [options]",
+            ],
+        ),
+        (
+            "[profile]\nname x\nclaims r9 r9\n",
+            [
+                "duplicate claim ids",
+                "duplicate requirement ids listed",
+                "unknown requirement id(s) claimed: r9, r9",
+                "unknown requirement id(s) listed: r9, r9",
+                "no external hosts",
+                "no internal hosts",
+            ],
+        ),
+    ],
+    ids=["parse-errors", "validation-problems"],
+)
+def test_validate_prints_exactly_the_problems(tmp_path, capsys, text, problems):
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text)
+    assert cli.main(["validate", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err.splitlines()) == ("", problems)
+
+
 def test_missing_file_is_an_input_error(tmp_path, capsys):
     assert cli.main(["validate", str(tmp_path / "nope.scn")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -3,6 +3,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import oracle_forwarded_tags
 from fwconform.errors import FwconformError, MechanismInactive, UnknownFile
@@ -48,11 +50,14 @@ class InapplicableFault(FwconformError):
 
 
 def inject_fault(fw, fault):
-    """A copy of `fw` degraded by one more fault.
+    """A copy of the fault-free `fw` degraded by one fault.
 
     The copy is otherwise identical, including journal state and baselines.
+    A product with faults is refused: its buckets hold the rules its
+    faults rewrote, not the rules it was given.
     """
-    rules = [rule for bucket in fw._buckets.values() for _, rule in bucket]
+    assert not fw.faults, "inject_fault starts from a product without faults"
+    rules = [rule for bucket in fw._buckets.values() for rule in bucket]
     problem = fault_problem(fault, len(rules), fw.files, fw.auth_mode)
     if problem:
         raise InapplicableFault(problem)
@@ -62,7 +67,7 @@ def inject_fault(fw, fault):
         files=list(fw.files.values()),
         auth_mode=fw.auth_mode,
         management=fw.management,
-        faults=fw.faults + (fault,),
+        faults=(fault,),
     )
     copy._baselines_recorded = fw._baselines_recorded
     copy._journal = list(fw._journal)
@@ -276,6 +281,7 @@ def test_mutation_kinds():
 def test_fault_parse_round_trip():
     for spec in (
         "invert_rule:3",
+        "invert_rule:-1",  # validation, not parsing, says it cannot apply
         "ignore_field:ttl",
         "skip_journal:pass_denied",
         "accept_any_password",
@@ -292,6 +298,35 @@ def test_fault_parse_rejects_bad_specs():
                  "skip_journal:auth", "accept_any_password:yes"):
         with pytest.raises(ValueError):
             Fault.parse(spec)
+
+
+@pytest.mark.parametrize("raw", ["0_1", "+1", " 1", "01", "-0", "\uff11"])
+def test_fault_parse_takes_an_invert_rule_index_in_plain_decimal_only(raw):
+    # int() reads each of these, but the report would print another spec.
+    with pytest.raises(ValueError) as caught:
+        Fault.parse(f"invert_rule:{raw}")
+    assert str(caught.value) == f"invert_rule parameter must be an integer: {raw!r}"
+
+
+_PARAMS = ("link", "proto", "ttl", "pass_allowed", "pass_denied", "a.conf")
+_FAULT_SPECS = st.builds(
+    "{}{}{}".format,
+    st.sampled_from([n.value for n in FaultName]),
+    st.sampled_from([":", ""]),
+    st.from_regex(r"[-+ _0-9\uff11]{0,4}", fullmatch=True)
+    | st.sampled_from(_PARAMS)
+    | st.text(),
+)
+
+
+@settings(max_examples=1000)
+@given(_FAULT_SPECS)
+def test_a_spec_that_parses_prints_back_as_given(spec):
+    try:
+        fault = Fault.parse(spec)
+    except ValueError:
+        return
+    assert fault.spec_text() == spec
 
 
 def test_invert_rule_flips_the_matched_action():
@@ -359,18 +394,27 @@ def test_indexed_matcher_under_faults_agrees_with_the_oracle():
             )
             for tag in range(20)
         ]
+        invert = Fault(FaultName.INVERT_RULE, k)
         flipped = ordered[:k] + [_flip(ordered[k])] + ordered[k + 1 :]
-        cases = [(Fault(FaultName.INVERT_RULE, k), flipped)]
-        cases += [
-            (Fault(FaultName.IGNORE_FIELD, name), [replace(r, **dropped) for r in rules])
-            for name, dropped in _WITHOUT_FIELD.items()
-        ]
-        for fault, demanded in cases:
-            fw = Firewall(rules=rules, faults=[fault])
+        cases = [((invert,), flipped)]
+        for name, dropped in _WITHOUT_FIELD.items():
+            ignore = Fault(FaultName.IGNORE_FIELD, name)
+            cases.append(((ignore,), [replace(r, **dropped) for r in rules]))
+            # Both rewrites on one rule: flipped, then blanked.
+            cases.append(((ignore, invert), [replace(r, **dropped) for r in flipped]))
+        for faults, demanded in cases:
+            fw = Firewall(rules=rules, faults=faults)
             forwarded = {
                 p.payload_tag for p in packets if fw.filter_packet(p) is Decision.FORWARDED
             }
-            assert forwarded == oracle_forwarded_tags(demanded, packets), fault.spec_text()
+            expected = oracle_forwarded_tags(demanded, packets)
+            specs = [f.spec_text() for f in faults]
+            assert forwarded == expected, specs
+            # The journal says what the faulty product did to each packet.
+            journal = fw.export_journal()
+            assert [e.subject for e in journal] == [(p.src.net, p.dst.net) for p in packets]
+            allowed = [e.event is JournalEvent.PASS_ALLOWED for e in journal]
+            assert allowed == [p.payload_tag in expected for p in packets], specs
 
 
 def test_invert_rule_index_must_exist():
