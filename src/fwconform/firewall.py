@@ -290,7 +290,11 @@ class Fault:
     def spec_text(self) -> str:
         if self.param is None:
             return self.name.value
-        return f"{self.name.value}:{self.param}"
+        try:
+            return f"{self.name.value}:{self.param}"
+        except ValueError:  # an index past the interpreter's int-to-decimal limit
+            sign = "-" * (self.param < 0)
+            return f"{self.name.value}:{sign}<{self.param.bit_length()}-bit integer>"
 
 
 # What the rule engine's faults do to the product's own copy of a rule.

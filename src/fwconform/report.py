@@ -15,9 +15,19 @@ and decoder once per type and nesting depth; the writer is the only
 encoder, and `report_to_dict` reads its text back.  Decoding checks
 every value against its hint, JSON type and array length, so a malformed
 report raises ValueError or TypeError instead of building a Report that
-cannot be rendered.  The schema's own knowledge is data: the field
-renames (`_RENAMES`), the evidence tags (`_EVIDENCE_TAGS`) and the
-procedure record layout, which `_codec` flattens into one object.
+cannot be rendered.  A string is written only if it reads back the same,
+so one holding a high surrogate just before a low one is refused.  The
+schema's own knowledge is data: the field renames (`_RENAMES`), the
+evidence tags (`_EVIDENCE_TAGS`) and the procedure record layout, which
+`_codec` flattens into one object.
+
+`Address` values are memoized, because a report repeats a few hundred
+hosts' addresses tens of thousands of times.  Within one public call
+(`export_report`, `parse_report`, `report_to_dict`, `report_from_dict`)
+each distinct address is written once per nesting depth, and each
+(net, link) pair is built once after its members pass the same type
+checks as any other value's.  The memos are emptied when the call
+ends, whether it returns or raises.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from types import UnionType
 from typing import Callable, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 from .errors import ReportFormatError
+from .firewall import Address
 from .formal import CampaignVerdict, ProcedureOutcome, RequirementKind, TestProcedure
 from .optimizer import CampaignPlan
 from .testbench import AuthEvidence, FilterEvidence, IntegrityEvidence
@@ -79,6 +90,7 @@ class Report:
 _RENAMES = {"requirement_id": "requirement", "variant_id": "variant"}
 _EVIDENCE_TAGS = {"filter": FilterEvidence, "auth": AuthEvidence, "integrity": IntegrityEvidence}
 _JSON_NAMES = {str: "string", int: "integer", list: "array", dict: "object", type(None): "null"}
+_SURROGATE_PAIR = re.compile(r"[\ud800-\udbff][\udc00-\udfff]")
 
 
 class _Codec(NamedTuple):
@@ -87,8 +99,41 @@ class _Codec(NamedTuple):
     json: frozenset  # the JSON types, as Python types, that a value may arrive as
 
 
+# The memos of the codecs that keep one.  `_call_memos` empties them all when
+# the public call that filled them ends, so none outlives one export or parse.
+_MEMOS: list[dict] = []
+
+
+def _memo() -> dict:
+    memo: dict = {}
+    _MEMOS.append(memo)
+    return memo
+
+
+@contextmanager
+def _call_memos():
+    try:
+        yield
+    finally:
+        for memo in _MEMOS:
+            memo.clear()
+
+
 def _show(value) -> str:
     return f"{json.dumps(value):.40}"
+
+
+def _write_str(value: str) -> str:
+    """The JSON text of `value`, which must read back as the same string.
+
+    JSON reads a high surrogate escaped just before a low one as one astral
+    character, so a string that holds such a pair is refused.  Only text
+    that holds a surrogate escape needs the closer look.
+    """
+    text = encode_basestring_ascii(value)
+    if "\\ud" in text and _SURROGATE_PAIR.search(value):
+        raise ValueError(f"a surrogate pair would read back as one character: {_show(value)}")
+    return text
 
 
 def _mismatch(where, accepted, values) -> TypeError:
@@ -113,7 +158,7 @@ def _codec(tp, depth: int) -> _Codec:
     # A decoder is only ever handed a value whose JSON type its container has
     # checked against `json` before decoding any member; so str and int decode as is.
     if tp is str or tp is int:
-        write = encode_basestring_ascii if tp is str else int.__repr__
+        write = _write_str if tp is str else int.__repr__
         return _Codec(write, None, frozenset({tp}))
     if tp is bytes:
         return _Codec(lambda value: f'"{value.hex()}"', bytes.fromhex, frozenset({str}))
@@ -140,6 +185,29 @@ def _codec(tp, depth: int) -> _Codec:
             return nested.decode({**data, "procedure": data, "outcome": outcome})
 
         return _Codec(nested.write, decode_record, frozenset({dict}))
+    if tp is Address:
+        # A report repeats a few hundred hosts' addresses tens of thousands of
+        # times: each distinct one is written, and built from members already
+        # type-checked, once per call.
+        texts, built = _memo(), _memo()
+
+        def build(net, link):
+            try:
+                return built[net, link]
+            except KeyError:
+                address = built[net, link] = Address(net, link)
+                return address
+
+        plain = _object_codec(tp, depth, _fields(tp, ""), [], build)
+
+        def write_address(address):
+            try:
+                return texts[address]
+            except KeyError:
+                text = texts[address] = plain.write(address)
+                return text
+
+        return plain._replace(write=write_address)
     if tp == Evidence:
         by_type = {
             cls: _object_codec(cls, depth, _fields(cls, ""), [("type", tag)])
@@ -173,7 +241,7 @@ def _codec(tp, depth: int) -> _Codec:
             return tuple(value) if dec is None else tuple(map(dec, value))
 
         return _Codec(
-            lambda v: head + sep.join(map(write, v)) + tail if v else "[]",
+            lambda v: f"{head}{sep.join(map(write, v))}{tail}" if v else "[]",
             decode_array,
             frozenset({list}),
         )
@@ -194,14 +262,16 @@ def _codec(tp, depth: int) -> _Codec:
     raise TypeError(f"no report codec for {tp!r}")
 
 
-def _object_codec(tp, depth: int, members: list, constants: list[tuple[str, str]]) -> _Codec:
+def _object_codec(
+    tp, depth: int, members: list, constants: list[tuple[str, str]], build: Callable | None = None
+) -> _Codec:
     """An object with one member per field of `tp`, keyed by the field name or its rename.
 
     It is written from `members`, (key, attribute path, type) triples, and
-    `constants`, (key, text) pairs.
+    `constants`, (key, text) pairs, and decoded by `build`, `tp` by default.
     """
     keys, _, hints = zip(*_fields(tp, ""))
-    decode = _fixed_decoder(tp, keys, [_codec(h, depth + 1) for h in hints])
+    decode = _fixed_decoder(build or tp, keys, [_codec(h, depth + 1) for h in hints])
     members = sorted(members)
     slots = [(key, "%s") for key, _, _ in members]
     slots += [(key, encode_basestring_ascii(text).replace("%", "%%")) for key, text in constants]
@@ -241,11 +311,13 @@ def _fixed_decoder(build: Callable, keys, items: list[_Codec]) -> Callable:
     return decode
 
 
+@_call_memos()
 def report_to_dict(report: Report) -> dict:
     """The report's JSON form, read back from its machine text."""
     return json.loads(_codec(Report, 0).write(report))
 
 
+@_call_memos()
 def report_from_dict(data: dict) -> Report:
     if data.get("schema") != SCHEMA:
         raise ValueError(f"unknown report schema {data.get('schema')!r}")
@@ -259,6 +331,7 @@ def report_from_dict(data: dict) -> Report:
 
 # -- rendering -----------------------------------------------------------------
 
+@_call_memos()
 def export_report(report: Report, fmt: str = "machine") -> str:
     if fmt == "machine":
         return _codec(Report, 0).write(report) + "\n"
@@ -285,6 +358,7 @@ def paused_collector():
 
 
 @paused_collector()
+@_call_memos()
 def parse_report(text: str) -> Report:
     """Inverse of the machine format; raises ReportFormatError on anything off."""
     try:

@@ -12,6 +12,7 @@ from fwconform.firewall import (
     Address,
     AuthMode,
     Fault,
+    FaultName,
     FileArtifact,
     FilterRule,
     Mutation,
@@ -107,6 +108,18 @@ def test_run_campaign_refuses_an_inapplicable_fault(scenario_text, spec, message
         run_campaign(scenario, faults=[Fault.parse(spec)])
     with pytest.raises(ScenarioValidationError, match=f"fault {spec}: {message}"):
         run_campaign(replace(scenario, faults=(Fault.parse(spec),)))
+
+
+@pytest.mark.parametrize(
+    "index, written", [(10**5000, ""), (-(10**5000), "-")], ids=["huge", "huge-negative"]
+)
+def test_run_campaign_refuses_a_rule_index_too_long_to_write_in_decimal(index, written):
+    scenario = parse_scenario(REFERENCE.read_text())
+    with pytest.raises(ScenarioValidationError) as caught:
+        run_campaign(scenario, faults=[Fault(FaultName.INVERT_RULE, index)])
+    assert caught.value.problems == [
+        f"fault invert_rule:{written}<16610-bit integer>: rule index outside the 4-rule set"
+    ]
 
 
 @pytest.mark.parametrize("account", ["con pw-long-enough", "sole pw-long-enough", "alice a"])

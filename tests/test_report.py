@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fwconform.report as report_module
 from fwconform.campaign import run_campaign
 from fwconform.errors import FwconformError, ReportFormatError
-from fwconform.firewall import Fault
+from fwconform.firewall import Address, Fault
 from fwconform.report import (
     SCHEMA,
     export_report,
@@ -226,6 +227,139 @@ def test_machine_text_is_canonical_json_whatever_the_strings(profile, texts):
     text = export_report(report)
     assert text == json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
     assert parse_report(text) == report
+
+
+@pytest.mark.parametrize("profile", ["\ud800\udfff", "x\udbff\udc00y"])
+def test_export_refuses_a_surrogate_pair_that_would_read_back_as_one_character(report, profile):
+    forged = replace(report, metadata=replace(report.metadata, profile=profile))
+    with pytest.raises(ValueError, match="surrogate pair would read back as one character"):
+        export_report(forged)
+
+
+@pytest.mark.parametrize("profile", ["\ud800", "\udfff\ud800", "\ud800-\udfff", "😀\udc00"])
+def test_lone_surrogates_and_astral_characters_read_back_unchanged(report, profile):
+    forged = replace(report, metadata=replace(report.metadata, profile=profile))
+    assert parse_report(export_report(forged)) == forged
+
+
+# The source address of the first two packets of the first procedure: one
+# host, so the second is a repeat of an address the parse has already built.
+_FIRST, _SECOND = [("procedures", 0, "evidence", "packet_in", i, "src") for i in (0, 1)]
+
+
+def _golden_without(path, key) -> str:
+    data = json.loads(GOLDEN_TEXT)
+    parent = data
+    for step in path:
+        parent = parent[step]
+    del parent[key]
+    return json.dumps(data)
+
+
+def _addresses(value):
+    """Every address object in a JSON value, as a (net, link) pair."""
+    if isinstance(value, dict):
+        if value.keys() == {"net", "link"}:
+            yield value["net"], value["link"]
+        for item in value.values():
+            yield from _addresses(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _addresses(item)
+
+
+@pytest.mark.parametrize(
+    "member, value, error",
+    [
+        ("net", True, "net: expected string, got true"),
+        ("net", 1, "net: expected string, got 1"),
+        ("net", ["198.51.100.10"], 'net: expected string, got ["198.51.100.10"]'),
+        ("net", {}, "net: expected string, got {}"),
+        ("link", True, "link: expected null or string, got true"),
+        ("link", 1, "link: expected null or string, got 1"),
+        ("link", ["02:00:5e:10:00:01"], 'link: expected null or string, got ["02:00:5e:10:00:01"]'),
+        ("link", {}, "link: expected null or string, got {}"),
+    ],
+)
+def test_a_repeated_address_is_type_checked_like_the_first(member, value, error):
+    data = json.loads(GOLDEN_TEXT)
+    first = data["procedures"][0]["evidence"]["packet_in"][0]["src"]
+    assert data["procedures"][0]["evidence"]["packet_in"][1]["src"] == first
+    for path in (_SECOND, _FIRST):  # a repeat; a first sighting right after a clean parse
+        parse_report(GOLDEN_TEXT)
+        with pytest.raises(ReportFormatError) as caught:
+            parse_report(_golden_with((path + (member,), value)))
+        assert str(caught.value) == f"malformed report: {error}"
+
+
+@pytest.mark.parametrize("path", [_SECOND, _FIRST])
+def test_an_address_without_its_link_member_is_refused_wherever_it_comes(path):
+    parse_report(GOLDEN_TEXT)
+    with pytest.raises(ReportFormatError) as caught:
+        parse_report(_golden_without(path, "link"))
+    assert str(caught.value) == "malformed report: 'link'"
+
+
+def test_a_parse_that_failed_midway_leaves_the_next_one_clean(leaky_report):
+    for broken in (
+        _golden_with((_SECOND + ("net",), "198.51.100.256")),
+        _golden_with((("campaign", "n"), 9)),  # refused after every address is built
+    ):
+        with pytest.raises(ReportFormatError):
+            parse_report(broken)
+        clean = parse_report(GOLDEN_TEXT)
+        assert clean.procedures == leaky_report.procedures
+        assert export_report(clean) == GOLDEN_TEXT
+
+
+def test_either_spelling_of_a_mac_decodes_to_one_address():
+    upper = _golden_with((_SECOND + ("link",), "02:00:5E:10:00:01"))
+    clean, mixed = parse_report(GOLDEN_TEXT), parse_report(upper)
+    assert mixed == clean
+    assert export_report(mixed) == GOLDEN_TEXT
+
+
+def test_parse_builds_each_distinct_address_once_per_call(monkeypatch):
+    distinct = set(_addresses(json.loads(GOLDEN_TEXT)))
+    assert len(distinct) < len(list(_addresses(json.loads(GOLDEN_TEXT))))
+    built = []
+    check = Address.__post_init__
+    monkeypatch.setattr(Address, "__post_init__", lambda a: built.append(a) or check(a))
+    for _ in range(2):  # the second call builds them all again: nothing was kept
+        built.clear()
+        parse_report(GOLDEN_TEXT)
+        assert len(built) == len(distinct)
+        assert {(a.net, a.link) for a in built} == distinct
+
+
+def test_no_memo_outlives_an_export_or_a_parse(report):
+    last = report.procedures[-1]
+    criteria = (replace(last.outcome.criteria[0], label="\ud800\udc00"),)
+    # Refused while writing the last procedure, after every address is written.
+    unwritable = replace(
+        report,
+        procedures=report.procedures[:-1]
+        + (replace(last, outcome=replace(last.outcome, criteria=criteria)),),
+    )
+    returning = [
+        lambda: export_report(report),
+        lambda: report_to_dict(report),
+        lambda: parse_report(GOLDEN_TEXT),
+        lambda: report_from_dict(json.loads(GOLDEN_TEXT)),
+    ]
+    raising = [
+        (ValueError, lambda: export_report(unwritable)),
+        (ReportFormatError, lambda: parse_report(_golden_with((("campaign", "n"), 9)))),
+        (ReportFormatError, lambda: parse_report(_golden_with((_SECOND + ("net",), True)))),
+    ]
+    assert report_module._MEMOS
+    for call in returning:
+        call()
+        assert not any(report_module._MEMOS)
+    for error, call in raising:
+        with pytest.raises(error):
+            call()
+        assert not any(report_module._MEMOS)
 
 
 def test_machine_text_of_a_generated_scenario_is_canonical_json(monkeypatch):
