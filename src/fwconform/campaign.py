@@ -18,6 +18,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from typing import Sequence
 
+from . import __version__
 from .firewall import Address, AuthMode, Fault, FilterRule
 from .formal import (
     ALL_REQUIREMENTS,
@@ -99,7 +100,7 @@ def run_campaign(scenario: Scenario, faults: Sequence[Fault] | None = None) -> R
         else:
             evidence = run_integrity_procedure(bench, scenario.mutations)
             criteria = evaluate_integrity_criteria(evidence)
-        outcome = ProcedureOutcome.from_criteria(procedure.id, req.id, criteria)
+        outcome = ProcedureOutcome.from_criteria(criteria)
         outcomes[req.id] = outcome
         records.append(
             ProcedureRecord(
@@ -119,16 +120,10 @@ def run_campaign(scenario: Scenario, faults: Sequence[Fault] | None = None) -> R
     verdict = aggregate_verdict(scope, outcomes)
     metadata = ReportMetadata(
         tool="fwconform",
-        version=_package_version(),
+        version=__version__,
         seed=scenario.seed,
         profile=profile.name,
         created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         faults=tuple(f.spec_text() for f in scenario.faults),
     )
     return Report(metadata=metadata, campaign=verdict, plan=plan, procedures=tuple(records))
-
-
-def _package_version() -> str:
-    from fwconform import __version__
-
-    return __version__

@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .campaign import run_campaign
 from .errors import FwconformError, ScenarioError, ScenarioValidationError
 from .firewall import Fault
 from .optimizer import optimize_plan
-from .report import export_report, parse_report
-from .scenario import load_scenario
+from .report import export_report, parse_report, render_plan
+from .scenario import load_scenario, parse_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,18 +76,13 @@ def _cmd_validate(args) -> int:
 def _cmd_plan(args) -> int:
     scenario = load_scenario(args.scenario)
     plan = optimize_plan(scenario.variant_catalog(), scenario.budget)
-    budget = "unlimited" if plan.budget is None else str(plan.budget)
-    print(
-        f"plan for {scenario.name}: total time {plan.total_time},"
-        f" cost {plan.total_cost}, budget {budget}"
-    )
-    for v in plan.chosen:
-        print(f"  {v.requirement_id}: {v.variant_id} (time {v.time}, cost {v.cost})")
+    print(*render_plan(plan, f"plan for {scenario.name}"), sep="\n")
     return 0
 
 
 def _cmd_run(args) -> int:
-    scenario = load_scenario(args.scenario)
+    # Checked once, by run_campaign, after --seed and --inject apply.
+    scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     try:

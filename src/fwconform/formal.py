@@ -234,10 +234,12 @@ class CriterionResult:
 
 @dataclass(frozen=True)
 class ProcedureOutcome:
-    """The validity verdict of one executed procedure."""
+    """The validity verdict of one executed procedure.
 
-    procedure_id: str
-    requirement_id: str
+    It names no procedure or requirement: the record that holds it does,
+    and `aggregate_verdict` takes outcomes keyed by requirement id.
+    """
+
     passed: int
     criteria: tuple[CriterionResult, ...] = ()
 
@@ -246,18 +248,8 @@ class ProcedureOutcome:
             raise ValueError("outcome bit disagrees with its criteria")
 
     @classmethod
-    def from_criteria(
-        cls,
-        procedure_id: str,
-        requirement_id: str,
-        criteria: Sequence[CriterionResult],
-    ) -> "ProcedureOutcome":
-        return cls(
-            procedure_id=procedure_id,
-            requirement_id=requirement_id,
-            passed=int(all(c.bit for c in criteria)),
-            criteria=tuple(criteria),
-        )
+    def from_criteria(cls, criteria: Sequence[CriterionResult]) -> "ProcedureOutcome":
+        return cls(passed=int(all(c.bit for c in criteria)), criteria=tuple(criteria))
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ Every claimed requirement still gets tested; the choice is only between
 variants (say, a manual walkthrough versus a scripted run) that trade
 money for bench time.  The planner minimizes total bench time subject to
 the money budget, breaking ties toward lower cost and then lower variant
-ids so plans are reproducible.
+ids so plans are reproducible: the plan is the selection with the least
+(total time, total cost, variant ids in claim order) key.
 
-`optimize_plan` solves this exactly with a memoized search over
+`optimize_plan` finds it exactly with one memoized search over
 (requirement index, budget left).
 """
 
@@ -88,11 +89,12 @@ def optimize_plan(
     limit = sum(max(v.cost for v in g) for g in groups) if budget is None else budget
 
     @cache
-    def best(i: int, remaining: int) -> tuple[int, int] | None:
-        # Least (time, cost) achievable for groups i.. with this much money,
-        # compared lexicographically; None when nothing fits.
+    def best(i: int, remaining: int) -> tuple[tuple, tuple[ProcedureVariant, ...]] | None:
+        # The least (time, cost, variant ids) key for groups i.. with this much
+        # money, compared lexicographically, and the variants that reach it;
+        # None when nothing fits.
         if i == len(groups):
-            return (0, 0)
+            return (0, 0, ()), ()
         found = None
         for v in groups[i]:
             if v.cost > remaining:
@@ -100,31 +102,16 @@ def optimize_plan(
             tail = best(i + 1, remaining - v.cost)
             if tail is None:
                 continue
-            pair = (v.time + tail[0], v.cost + tail[1])
-            if found is None or pair < found:
-                found = pair
+            (time, cost, ids), chosen = tail
+            key = (v.time + time, v.cost + cost, (v.variant_id, *ids))
+            if found is None or key < found[0]:
+                found = key, (v, *chosen)
         return found
 
-    target = best(0, limit)
-    if target is None:
+    found = best(0, limit)
+    if found is None:
         floor = sum(min(v.cost for v in g) for g in groups)
         raise Infeasible(
             f"budget {budget} cannot cover the campaign; cheapest selection costs {floor}"
         )
-    chosen = []
-    remaining = limit
-    need_time, need_cost = target
-    for i, group in enumerate(groups):
-        for v in sorted(group, key=lambda v: v.variant_id):
-            if v.cost > remaining:
-                continue
-            tail = best(i + 1, remaining - v.cost)
-            if tail is None:
-                continue
-            if (v.time + tail[0], v.cost + tail[1]) == (need_time, need_cost):
-                chosen.append(v)
-                remaining -= v.cost
-                need_time -= v.time
-                need_cost -= v.cost
-                break
-    return _as_plan(chosen, budget)
+    return _as_plan(found[1], budget)

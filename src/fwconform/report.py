@@ -175,14 +175,13 @@ def _codec(tp, depth: int) -> _Codec:
         return _Codec(texts.__getitem__, decode_enum, frozenset(map(type, members)))
     if tp is ProcedureRecord:
         # One flat object: the procedure's fields and the outcome's bit and criteria
-        # sit beside the record's own; the outcome's ids are the procedure's.
-        own = [m for m in _fields(tp, "") if m[1] not in ("procedure", "outcome")]
-        result = [m for m in _fields(ProcedureOutcome, "outcome.") if not m[1].endswith("_id")]
-        nested = _object_codec(tp, depth, own + _fields(TestProcedure, "procedure.") + result, [])
+        # sit beside the record's own.
+        members = [m for m in _fields(tp, "") if m[1] not in ("procedure", "outcome")]
+        members += _fields(TestProcedure, "procedure.") + _fields(ProcedureOutcome, "outcome.")
+        nested = _object_codec(tp, depth, members, [])
 
         def decode_record(data):
-            outcome = {**data, "procedure_id": data["id"]}
-            return nested.decode({**data, "procedure": data, "outcome": outcome})
+            return nested.decode({**data, "procedure": data, "outcome": data})
 
         return _Codec(nested.write, decode_record, frozenset({dict}))
     if tp is Address:
@@ -368,7 +367,7 @@ def parse_report(text: str) -> Report:
         return report_from_dict(data)
     except json.JSONDecodeError as exc:
         raise ReportFormatError(f"not valid JSON: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ReportFormatError(f"malformed report: {exc}") from None
 
 
@@ -385,14 +384,8 @@ def render_human(report: Report) -> str:
     ]
     if meta.faults:
         lines.append("faults injected: " + ", ".join(meta.faults))
-    budget = "unlimited" if report.plan.budget is None else str(report.plan.budget)
     lines.append("")
-    lines.append(
-        f"plan: total time {report.plan.total_time},"
-        f" cost {report.plan.total_cost}, budget {budget}"
-    )
-    for v in report.plan.chosen:
-        lines.append(f"  {v.requirement_id}: {v.variant_id} (time {v.time}, cost {v.cost})")
+    lines += render_plan(report.plan, "plan")
     for rec in report.procedures:
         status = "PASS" if rec.outcome.passed else "FAIL"
         lines.append("")
@@ -403,6 +396,17 @@ def render_human(report: Report) -> str:
             detail = f": {c.detail}" if c.detail else ""
             lines.append(f"  [{mark}] {c.label}{detail}")
     return "\n".join(lines) + "\n"
+
+
+def render_plan(plan: CampaignPlan, heading: str) -> list[str]:
+    """The plan's lines: `heading` with the totals, then each chosen variant."""
+    budget = "unlimited" if plan.budget is None else str(plan.budget)
+    lines = [
+        f"{heading}: total time {plan.total_time}, cost {plan.total_cost}, budget {budget}"
+    ]
+    for v in plan.chosen:
+        lines.append(f"  {v.requirement_id}: {v.variant_id} (time {v.time}, cost {v.cost})")
+    return lines
 
 
 def strip_timestamps(text: str) -> str:

@@ -173,8 +173,6 @@ def test_1_formal_model_invariants(capfd):
             for fcs in product((0, 1), repeat=3):
                 outcomes = {
                     req.id: ProcedureOutcome(
-                        procedure_id=f"x/{req.id}",
-                        requirement_id=req.id,
                         passed=fc,
                         criteria=(CriterionResult("probe", fc, ""),),
                     )

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import fwconform
 import fwconform.cli as cli
 from fwconform.report import parse_report, strip_timestamps
 
@@ -83,6 +84,29 @@ def test_plan_prints_the_frozen_reference_plan(capsys):
     assert "r3: manual (time 2, cost 1)" in out
 
 
+# The plan text as the reference scenario printed it before `plan` and the
+# human report shared one renderer.
+REFERENCE_PLAN = """\
+total time 9, cost 6, budget 8
+  r1: scripted (time 3, cost 3)
+  r1-link: standard (time 1, cost 0)
+  r1-fields: standard (time 1, cost 0)
+  r2: scripted (time 2, cost 2)
+  r3: manual (time 2, cost 1)
+"""
+
+
+def test_plan_prints_exactly_the_reference_plan(capsys):
+    assert cli.main(["plan", REFERENCE]) == 0
+    assert capsys.readouterr() == ("plan for reference-fw: " + REFERENCE_PLAN, "")
+
+
+def test_human_report_shows_exactly_the_reference_plan(capsys):
+    assert cli.main(["run", REFERENCE, "--format", "human"]) == 0
+    blocks = capsys.readouterr().out.split("\n\n")
+    assert blocks[1] + "\n" == "plan: " + REFERENCE_PLAN
+
+
 def test_run_conform_exits_zero_and_prints_machine_json(capsys):
     assert cli.main(["run", REFERENCE]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -104,6 +128,18 @@ def test_run_rejects_a_malformed_fault_spec(capsys):
 def test_run_rejects_an_inapplicable_fault(capsys):
     assert cli.main(["run", REFERENCE, "--inject", "invert_rule:99"]) == 2
     assert "rule index outside" in capsys.readouterr().err
+
+
+def test_inject_replaces_a_fault_list_that_would_not_apply(tmp_path, capsys):
+    scenario = tmp_path / "faulty.scn"
+    scenario.write_text(Path(REFERENCE).read_text() + "\n[faults]\ninject invert_rule:9\n")
+    assert cli.main(["run", str(scenario), "--inject", "ignore_field:ttl"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["metadata"]["faults"] == ["ignore_field:ttl"]
+    assert err == ""
+    assert cli.main(["run", str(scenario)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "fault invert_rule:9: rule index outside the 4-rule set\n")
 
 
 def test_run_writes_the_report_file(tmp_path, capsys):
@@ -200,6 +236,20 @@ def test_report_verb_rejects_a_forged_verdict(tmp_path, capsys, forge):
     assert "malformed report" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 200_000 + "]" * 200_000, '{"a":' * 100_000 + "1" + "}" * 100_000],
+    ids=["arrays", "objects"],
+)
+def test_report_verb_rejects_json_nested_past_the_recursion_limit(tmp_path, capsys, text):
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    assert cli.main(["report", str(deep)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: malformed report: maximum recursion depth")
+
+
 def test_unexpected_exceptions_exit_three(monkeypatch, capsys):
     def boom(scenario, faults=None):
         raise RuntimeError("wires crossed")
@@ -224,6 +274,7 @@ def test_console_entry_point_is_wired(tmp_path, monkeypatch):
     )
     assert built.returncode == 0, built.stderr
     dist = md.Distribution.at(tmp_path / "fwconform.egg-info")
+    assert dist.version == fwconform.__version__
     ours = dist.entry_points.select(group="console_scripts", name="fwconform")
     assert [e.value for e in ours] == ["fwconform.cli:entry"]
     entry = ours["fwconform"].load()

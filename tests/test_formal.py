@@ -27,10 +27,6 @@ FULL = FirewallProfile("sut", tuple(ALL_REQUIREMENTS))
 CORE = ("r1", "r2", "r3")
 
 
-def outcome(rid, passed):
-    return ProcedureOutcome(f"sut/{rid}", rid, passed)
-
-
 def test_catalog_covers_the_three_core_requirements():
     assert {"r1", "r2", "r3"} <= set(ALL_REQUIREMENTS)
     assert ALL_REQUIREMENTS["r1"].kind is RequirementKind.NET_FILTER
@@ -114,8 +110,8 @@ def test_claim_bit_reads_the_profile():
 def test_outcome_bit_must_agree_with_criteria():
     crits = (CriterionResult("a", 1), CriterionResult("b", 0))
     with pytest.raises(ValueError):
-        ProcedureOutcome("p", "r1", 1, crits)
-    built = ProcedureOutcome.from_criteria("p", "r1", crits)
+        ProcedureOutcome(1, crits)
+    built = ProcedureOutcome.from_criteria(crits)
     assert built.passed == 0
 
 
@@ -127,17 +123,17 @@ def test_campaign_rejects_claims_outside_the_catalog():
 def test_aggregate_requires_alignment():
     claims = [(ALL_REQUIREMENTS[r], 1) for r in CORE]
     with pytest.raises(MisalignedCampaign):
-        aggregate_verdict(claims, {"r1": outcome("r1", 1), "r2": outcome("r2", 1)})
-    full = {r: outcome(r, 1) for r in CORE}
+        aggregate_verdict(claims, {"r1": ProcedureOutcome(1), "r2": ProcedureOutcome(1)})
+    full = {r: ProcedureOutcome(1) for r in CORE}
     with pytest.raises(MisalignedCampaign):
-        aggregate_verdict(claims, dict(full, r9=outcome("r9", 1)))
+        aggregate_verdict(claims, dict(full, r9=ProcedureOutcome(1)))
     with pytest.raises(MisalignedCampaign):
         aggregate_verdict(claims + [claims[0]], full)
 
 
 def test_aggregate_preserves_scope_order_and_counts():
     claims = [(ALL_REQUIREMENTS[r], 1) for r in ("r3", "r1")]
-    verdict = aggregate_verdict(claims, {"r3": outcome("r3", 1), "r1": outcome("r1", 0)})
+    verdict = aggregate_verdict(claims, {"r3": ProcedureOutcome(1), "r1": ProcedureOutcome(0)})
     assert verdict.pairs == (("r3", 1, 1), ("r1", 1, 0))
     assert verdict.n == 2
     assert verdict.conform == 0
@@ -145,7 +141,7 @@ def test_aggregate_preserves_scope_order_and_counts():
 
 def test_unclaimed_requirement_in_scope_sinks_the_verdict():
     claims = [(ALL_REQUIREMENTS["r1"], 1), (ALL_REQUIREMENTS["r2"], 0)]
-    verdict = aggregate_verdict(claims, {"r1": outcome("r1", 1)})
+    verdict = aggregate_verdict(claims, {"r1": ProcedureOutcome(1)})
     assert verdict.pairs == (("r1", 1, 1), ("r2", 0, 0))
     assert verdict.conform == 0
 
@@ -176,7 +172,7 @@ def test_empty_scope_is_vacuously_conform():
 )
 def test_aggregate_equals_the_product_oracle(frs, fcs):
     claims = [(ALL_REQUIREMENTS[r], fr) for r, fr in zip(CORE, frs)]
-    outcomes = {r: outcome(r, fc) for r, fc in zip(CORE, fcs)}
+    outcomes = {r: ProcedureOutcome(fc) for r, fc in zip(CORE, fcs)}
     verdict = aggregate_verdict(claims, outcomes)
     assert verdict.conform == oracle_conform(frs, fcs)
     assert verdict.n == 3

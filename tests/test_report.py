@@ -1,6 +1,7 @@
 import gc
 import json
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -104,6 +105,29 @@ def test_parse_rejects_garbage():
 def test_parse_rejects_json_that_is_not_an_object(text):
     with pytest.raises(ReportFormatError, match="malformed report"):
         parse_report(text)
+
+
+DEEP_JSON = {
+    "arrays": "[" * 100_000 + "]" * 100_000,
+    "objects": '{"a":' * 100_000 + "1" + "}" * 100_000,
+}
+
+
+@pytest.mark.parametrize("text", DEEP_JSON.values(), ids=DEEP_JSON.keys())
+def test_parse_rejects_json_nested_past_the_recursion_limit(text):
+    with pytest.raises(ReportFormatError, match="malformed report: maximum recursion depth"):
+        parse_report(text)
+
+
+def test_parse_rejects_a_member_nested_near_the_recursion_limit():
+    # Around the limit the nesting exhausts either the JSON reader or the
+    # text of the type mismatch it causes; both are malformed input.
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 100, limit + 10, 2):
+        nested = "[" * depth + "]" * depth
+        text = GOLDEN_TEXT.replace('"tool": "fwconform"', f'"tool": {nested}')
+        with pytest.raises(ReportFormatError, match="malformed report"):
+            parse_report(text)
 
 
 def _golden_with(*changes) -> str:
