@@ -177,13 +177,12 @@ class AdminAccount:
     password: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class FileArtifact:
-    """A monitored firewall file; the baseline digest is set on activation."""
+    """A monitored firewall file as loaded into the product."""
 
     file_id: str
     content: bytes
-    baseline_digest: str | None = None
 
 
 def digest(content: bytes) -> str:
@@ -203,6 +202,10 @@ class Mutation:
     offset: int = 0
     data: bytes = b""
 
+    def __post_init__(self):
+        if self.kind not in ("none", "flip", "append", "replace"):
+            raise ValueError(f"unknown mutation kind {self.kind!r}")
+
     def apply(self, content: bytes) -> bytes:
         if self.kind == "none":
             return content
@@ -218,9 +221,7 @@ class Mutation:
             return bytes(edited)
         if self.kind == "append":
             return content + self.data
-        if self.kind == "replace":
-            return bytes(self.data)
-        raise ValueError(f"unknown mutation kind: {self.kind!r}")
+        return bytes(self.data)
 
 
 class FaultName(Enum):
@@ -363,7 +364,9 @@ class Firewall:
     screening a packet scans only its pair's bucket and reads no fault.
     The journal's faults become the set of event kinds it drops, and the
     other mechanisms look theirs up in one map from fault name to
-    parameters.
+    parameters.  A fault that names a rule or file the product lacks, or
+    leaks credentials from a product with local sign-on, is refused with
+    `fault_problem`'s text.
     """
 
     def __init__(
@@ -390,8 +393,11 @@ class Firewall:
         ):
             if problem:
                 raise DuplicateEntry(problem)
+        for fault in self.faults:
+            problem = fault_problem(fault, len(rules), {f.file_id for f in files}, auth_mode)
+            if problem:
+                raise ValueError(problem)
         self._journal: list[JournalEntry] = []
-        self._seq = 0
         inverted = self._fault_params.get(FaultName.INVERT_RULE, ())
         ignored = {}
         for field in self._fault_params.get(FaultName.IGNORE_FIELD, ()):
@@ -404,10 +410,8 @@ class Firewall:
                 rule = replace(rule, **ignored)
             self._buckets.setdefault((rule.src, rule.dst), []).append(rule)
         self._accounts = tuple(accounts)
-        self._files = {
-            a.file_id: FileArtifact(a.file_id, bytes(a.content), a.baseline_digest) for a in files
-        }
-        self._baselines_recorded = False
+        self._files = {f.file_id: f.content for f in files}
+        self._baselines: dict[str, str] | None = None
         self._auth_attempt_count = 0
         # Wired up by the testbench so remote sign-on traffic lands on a tap:
         # (packet sink, tag source, console address).
@@ -416,12 +420,13 @@ class Firewall:
     # -- configuration ----------------------------------------------------
 
     @property
-    def files(self) -> dict[str, FileArtifact]:
+    def files(self) -> dict[str, bytes]:
+        """The current content of each monitored file, by file id."""
         return dict(self._files)
 
     def connect_console(
         self,
-        sink: Callable[[Packet, int], None],
+        sink: Callable[[Packet], None],
         make_tag: Callable[[], int],
         console: Address,
     ) -> None:
@@ -432,8 +437,7 @@ class Firewall:
     def _journal_event(self, event: JournalEvent, subject: tuple[str, ...]) -> None:
         if event in self._unjournaled:
             return
-        self._seq += 1
-        self._journal.append(JournalEntry(self._seq, event, subject))
+        self._journal.append(JournalEntry(len(self._journal) + 1, event, subject))
 
     # -- screening ---------------------------------------------------------
 
@@ -518,35 +522,31 @@ class Firewall:
                 payload=text.encode(),
                 ingress=Segment.INTERNAL,
             )
-            sink(packet, index)
+            sink(packet)
 
     # -- integrity control ---------------------------------------------------
 
     def activate_integrity(self) -> None:
         """Record the per-file baseline digests the later check compares against."""
-        for artifact in self._files.values():
-            artifact.baseline_digest = digest(artifact.content)
-        self._baselines_recorded = True
+        self._baselines = {fid: digest(content) for fid, content in self._files.items()}
 
-    def modify_file(self, file_id: str, mutation: Mutation) -> FileArtifact:
+    def modify_file(self, file_id: str, mutation: Mutation) -> None:
         """Apply one byte edit; the baseline digest is left untouched."""
         if file_id not in self._files:
             raise UnknownFile(f"no such monitored file: {file_id}")
-        artifact = self._files[file_id]
-        artifact.content = mutation.apply(artifact.content)
-        return artifact
+        self._files[file_id] = mutation.apply(self._files[file_id])
 
     def run_integrity_check(self) -> dict[str, int]:
         """Compare every file against its baseline; 1 means a violation was found.
 
         Each violation also leaves an alarm entry in the journal.
         """
-        if not self._baselines_recorded:
+        if self._baselines is None:
             raise MechanismInactive("integrity baselines were never recorded")
         blind = self._fault_params.get(FaultName.BLIND_INTEGRITY, ())
         report: dict[str, int] = {}
-        for file_id, artifact in self._files.items():
-            violated = file_id not in blind and digest(artifact.content) != artifact.baseline_digest
+        for file_id, content in self._files.items():
+            violated = file_id not in blind and digest(content) != self._baselines[file_id]
             report[file_id] = int(violated)
             if violated:
                 self._journal_event(JournalEvent.INTEGRITY_ALARM, (file_id,))

@@ -120,7 +120,11 @@ def _call_memos():
 
 
 def _show(value) -> str:
-    return f"{json.dumps(value):.40}"
+    try:
+        return f"{json.dumps(value):.40}"
+    except RecursionError:
+        kind = "an object" if isinstance(value, dict) else "an array"
+        return f"{kind} nested past the recursion limit"
 
 
 def _write_str(value: str) -> str:

@@ -261,20 +261,18 @@ class _Parser:
             raise ValueError("expected: mutate <file-id> flip|append|replace|none ...")
         _, file_id, kind = tokens[:3]
         rest = tokens[3] if len(tokens) > 3 else None
-        if kind == "none":
-            if rest is not None:
-                raise ValueError("mutate ... none takes no argument")
-            self.records["mutations"].append(Mutation(file_id, "none"))
-        elif kind == "flip":
+        if kind == "none" and rest is not None:
+            raise ValueError("mutate ... none takes no argument")
+        fields = {}
+        if kind == "flip":
             if rest is None:
                 raise ValueError("mutate ... flip needs a byte offset")
-            self.records["mutations"].append(Mutation(file_id, "flip", offset=int(rest)))
+            fields["offset"] = int(rest)
         elif kind in ("append", "replace"):
             if rest is None:
                 raise ValueError(f"mutate ... {kind} needs a payload")
-            self.records["mutations"].append(Mutation(file_id, kind, data=_payload(rest)))
-        else:
-            raise ValueError(f"unknown mutation kind {kind!r}")
+            fields["data"] = _payload(rest)
+        self.records["mutations"].append(Mutation(file_id, kind, **fields))
 
     def _attempts(self, line: str) -> None:
         tokens = line.split(None, 2)
@@ -294,9 +292,8 @@ class _Parser:
             return
         if tokens[0] != "variant" or len(tokens) != 5:
             raise ValueError("expected: variant <requirement> <id> time=N cost=N")
+        # Two tokens, each key allowed once: both time= and cost= are set.
         options = _kv_pairs(tokens[3:], ("time", "cost"))
-        if set(options) != {"time", "cost"}:
-            raise ValueError("variant needs both time= and cost=")
         self.records["variants"].append(
             ProcedureVariant(
                 requirement_id=tokens[1],

@@ -2,13 +2,13 @@
 
 The bench models the standard desk setup: an outside segment with probe
 senders, a protected inside segment with receivers and the management
-console, and the product under test between them.  `build_testbench`
-loads the product once, with the rule set, accounts, files and faults;
-the procedures only drive it.  The bench keeps its own copies of the
-rule set, sorted by `order`, and of the accounts: the verdict stage
-compares the product against these.  The probes sent are the outside
-traffic; a tap on the inside segment records everything the product
-lets through.
+console, and the product under test between them.  The bench builds
+the product once, with the rule set, accounts, files and faults; the
+procedures only drive it.  The bench keeps its own copies of the rule
+set, sorted by `order`, and of the accounts, and builds the product from
+them: the verdict stage compares the product against these.  The probes
+sent are the outside traffic; a tap on the inside segment records
+everything the product lets through.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import random
 import re
 from dataclasses import dataclass
 from itertools import product
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import (
     DuplicateEntry,
@@ -85,11 +85,21 @@ class Testbench:
         self,
         external: Sequence[Host],
         internal: Sequence[Host],
-        rules: Sequence[FilterRule],
-        accounts: Sequence[AdminAccount],
-        fw: Firewall,
+        rules: Sequence[FilterRule] = (),
+        accounts: Sequence[AdminAccount] = (),
+        files: Sequence[FileArtifact] = (),
+        auth_mode: AuthMode = AuthMode.REMOTE,
+        management: Address | None = None,
+        faults: Sequence[Fault] = (),
         seed: int = 0,
     ):
+        # The rule set (in `order` order) and the accounts as loaded.
+        # Evidence and probes read these copies, never the product's, so
+        # the verdict's expected side does not depend on the product.  The
+        # product is built first: its refusals precede the topology checks.
+        self.rules = tuple(sorted(rules, key=lambda r: r.order))
+        self.accounts = tuple(accounts)
+        self.fw = Firewall(self.rules, self.accounts, files, auth_mode, management, faults)
         for name, segment in (("external", external), ("internal", internal)):
             problem = segment_problem(name, segment)
             if problem:
@@ -101,35 +111,20 @@ class Testbench:
         self.external = tuple(external)
         self.internal = tuple(internal)
         self._hosts = {h.name: h for h in self.external + self.internal}
-        # The rule set (in `order` order) and the accounts as loaded.
-        # Evidence and probes read these copies, never the product's, so
-        # the verdict's expected side does not depend on the product.
-        self.rules = tuple(sorted(rules, key=lambda r: r.order))
-        self.accounts = tuple(accounts)
-        self.fw = fw
         self.inside: list[Packet] = []
         self.rng = random.Random(seed)
         self._tag = 0
-        self._console_attempts: dict[int, int] = {}
-        fw.connect_console(self._console_sink, self._next_tag, self.internal[0].address)
+        self.fw.connect_console(self.inside.append, self._next_tag, self.internal[0].address)
 
     def _next_tag(self) -> int:
         self._tag += 1
         return self._tag
-
-    def _console_sink(self, packet: Packet, attempt_index: int) -> None:
-        self.inside.append(packet)
-        self._console_attempts[packet.payload_tag] = attempt_index
 
     def host(self, name: str) -> Host:
         try:
             return self._hosts[name]
         except KeyError:
             raise UnknownHost(f"no host named {name!r} on the bench") from None
-
-    def reset_tap(self) -> None:
-        self.inside.clear()
-        self._console_attempts.clear()
 
 
 def segment_problem(name: str, hosts: Collection[Host]) -> str | None:
@@ -147,27 +142,8 @@ def host_name_problem(hosts: Iterable[Host]) -> str | None:
     return duplicate_problem("host name(s)", (h.name for h in hosts))
 
 
-def build_testbench(
-    external: Sequence[Host],
-    internal: Sequence[Host],
-    rules: Sequence[FilterRule] = (),
-    accounts: Sequence[AdminAccount] = (),
-    files: Sequence[FileArtifact] = (),
-    auth_mode: AuthMode = AuthMode.REMOTE,
-    management: Address | None = None,
-    faults: Sequence[Fault] = (),
-    seed: int = 0,
-) -> Testbench:
-    """Assemble the two segments around a product loaded with the rules and accounts."""
-    fw = Firewall(
-        rules=rules,
-        accounts=accounts,
-        files=files,
-        auth_mode=auth_mode,
-        management=management,
-        faults=faults,
-    )
-    return Testbench(external, internal, rules, accounts, fw, seed=seed)
+# The one bench constructor, under the name the campaign calls it by.
+build_testbench = Testbench
 
 
 def _build_packet(bench: Testbench, spec: TrafficSpec) -> Packet:
@@ -257,7 +233,7 @@ def run_filter_procedure(
     problem = filter_level_problem(level, bench.external + bench.internal, bench.rules)
     if problem:
         raise InapplicableRule(problem)
-    bench.reset_tap()
+    bench.inside.clear()
     mark = len(bench.fw.export_journal())
     packets = generate_packets(bench, traffic)
     allowed, denied = split_filter_journal(bench.fw.export_journal()[mark:])
@@ -385,7 +361,7 @@ def run_auth_procedure(
     if problem:
         raise InsufficientAttemptCoverage(problem)
     mode = bench.fw.auth_mode
-    bench.reset_tap()
+    bench.inside.clear()
     mark = len(bench.fw.export_journal())
     probes = _screening_probes(bench, "before")
     results = tuple(
@@ -395,7 +371,7 @@ def run_auth_procedure(
     probes += _screening_probes(bench, "after")
     journal = bench.fw.export_journal()[mark:]
     captures = tuple(bench.inside) if mode is AuthMode.REMOTE else ()
-    findings = scan_for_plaintext_credentials(captures, registered, bench._console_attempts)
+    findings = scan_for_plaintext_credentials(captures, registered)
     return AuthEvidence(
         mode=mode,
         accounts=registered,
@@ -407,36 +383,37 @@ def run_auth_procedure(
     )
 
 
-# A sign-on request in the clear; a password may hold spaces and `=`.
-_CLEAR_SIGNON = re.compile(rb"(?:\A| )id=(.*?) pwd=(.*)\Z", re.S)
+# A sign-on request in the clear, after its attempt number when it has
+# one; a password may hold spaces and `=`.
+_CLEAR_SIGNON = re.compile(rb"(?:\A| )(?:attempt=([0-9]+) )?id=(.*?) pwd=(.*)\Z", re.S)
 
 
 def scan_for_plaintext_credentials(
-    captures: Iterable[Packet],
-    accounts: Sequence[AdminAccount],
-    tag_attempts: Mapping[int, int] | None = None,
+    captures: Iterable[Packet], accounts: Sequence[AdminAccount]
 ) -> tuple[CredentialFinding, ...]:
     """Search captured payloads for any registered credential in the clear.
 
     A credential counts only as the whole value of an ``id=`` or ``pwd=``
     field, so the fixed text around it (``console-signon``, ``attempt=0``,
-    ``granted``, a probe's payload) never matches a short secret.
+    ``granted``, a probe's payload) never matches a short secret.  A
+    finding's attempt number is the payload's own ``attempt=N`` field,
+    or -1 when the payload has none.
     """
     findings = []
-    tag_attempts = tag_attempts or {}
     for packet in captures:
         fields = _CLEAR_SIGNON.search(packet.payload)
         if fields is None:
             continue
+        attempt_index = -1 if fields[1] is None else int(fields[1])
         for account in accounts:
             for piece, secret, sent in (
-                ("identifier", account.identifier, fields[1]),
-                ("password", account.password, fields[2]),
+                ("identifier", account.identifier, fields[2]),
+                ("password", account.password, fields[3]),
             ):
                 if secret.encode() == sent:
                     findings.append(
                         CredentialFinding(
-                            attempt_index=tag_attempts.get(packet.payload_tag, -1),
+                            attempt_index=attempt_index,
                             account_id=account.identifier,
                             piece=piece,
                             payload_tag=packet.payload_tag,
@@ -480,7 +457,7 @@ def run_integrity_procedure(
     if problem:
         raise NoMonitoredFiles(problem)
     fw.activate_integrity()
-    before = {fid: artifact.content for fid, artifact in fw.files.items()}
+    before = fw.files
     for mutation in mutations:
         fw.modify_file(mutation.file_id, mutation)
     mark = len(fw.export_journal())
@@ -490,9 +467,9 @@ def run_integrity_procedure(
     records = tuple(
         FileCheckRecord(
             file_id=fid,
-            baseline_digest=after[fid].baseline_digest or "",
-            final_digest=digest(after[fid].content),
-            modified=int(after[fid].content != before[fid]),
+            baseline_digest=digest(before[fid]),
+            final_digest=digest(after[fid]),
+            modified=int(after[fid] != before[fid]),
             detected=report[fid],
         )
         for fid in before

@@ -24,3 +24,8 @@ def test_traced_fault_sweep_emits_every_per_layer_metric(tmp_path, monkeypatch):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
     assert sorted(metrics) == sorted(m["name"] for m in declared)
     assert len(metrics) == 28
+    # Zero would mean the wrapped names are no longer the ones the campaign calls.
+    assert metrics["testbench.build_s"]["value"] > 0
+    assert metrics["testbench.host_calls"]["value"] > 0
+    assert metrics["firewall.filter_packet_calls"]["value"] > 0
+    assert metrics["scenario.resolve_calls"]["value"] == 1

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import oracle_forwarded_tags
-from fwconform.errors import FwconformError, MechanismInactive, UnknownFile
+from fwconform.errors import MechanismInactive, UnknownFile
 from fwconform.firewall import (
     AdminAccount,
     Address,
@@ -23,7 +23,6 @@ from fwconform.firewall import (
     Packet,
     RuleAction,
     digest,
-    fault_problem,
     packet_field_problem,
     split_filter_journal,
 )
@@ -45,10 +44,6 @@ def deny(src, dst, order, **kw):
     return FilterRule(RuleAction.DENY, src, dst, order=order, **kw)
 
 
-class InapplicableFault(FwconformError):
-    """A fault variant cannot be applied to this configuration."""
-
-
 def inject_fault(fw, fault):
     """A copy of the fault-free `fw` degraded by one fault.
 
@@ -58,20 +53,16 @@ def inject_fault(fw, fault):
     """
     assert not fw.faults, "inject_fault starts from a product without faults"
     rules = [rule for bucket in fw._buckets.values() for rule in bucket]
-    problem = fault_problem(fault, len(rules), fw.files, fw.auth_mode)
-    if problem:
-        raise InapplicableFault(problem)
     copy = Firewall(
         rules=rules,
         accounts=fw._accounts,
-        files=list(fw.files.values()),
+        files=[FileArtifact(file_id, content) for file_id, content in fw.files.items()],
         auth_mode=fw.auth_mode,
         management=fw.management,
         faults=(fault,),
     )
-    copy._baselines_recorded = fw._baselines_recorded
+    copy._baselines = fw._baselines
     copy._journal = list(fw._journal)
-    copy._seq = fw._seq
     copy._auth_attempt_count = fw._auth_attempt_count
     return copy
 
@@ -212,10 +203,10 @@ def test_remote_mode_emits_console_exchange():
     fw = Firewall(accounts=[AdminAccount("alice", "s3cret")], auth_mode=AuthMode.REMOTE)
     seen = []
     tags = iter(range(100, 200))
-    fw.connect_console(lambda p, i: seen.append((i, p)), lambda: next(tags), Address(B))
+    fw.connect_console(seen.append, lambda: next(tags), Address(B))
     fw.authenticate("alice", "s3cret")
     assert len(seen) == 2
-    request, reply = seen[0][1], seen[1][1]
+    request, reply = seen
     assert b"alice" not in request.payload and b"s3cret" not in request.payload
     assert b"granted" in reply.payload
 
@@ -223,7 +214,7 @@ def test_remote_mode_emits_console_exchange():
 def test_local_mode_emits_nothing():
     fw = Firewall(accounts=[AdminAccount("alice", "s3cret")], auth_mode=AuthMode.LOCAL)
     seen = []
-    fw.connect_console(lambda p, i: seen.append(p), lambda: 1, Address(B))
+    fw.connect_console(seen.append, lambda: 1, Address(B))
     fw.authenticate("alice", "s3cret")
     assert seen == []
 
@@ -253,9 +244,10 @@ def test_integrity_flags_exactly_the_changed_files():
 def test_modify_file_keeps_baseline_digest():
     fw = Firewall(files=files())
     fw.activate_integrity()
-    before = fw.files["a.conf"].baseline_digest
+    before = fw._baselines["a.conf"]
     fw.modify_file("a.conf", Mutation("a.conf", "replace", data=b"other"))
-    assert fw.files["a.conf"].baseline_digest == before == digest(b"alpha")
+    assert fw.files["a.conf"] == b"other"
+    assert fw._baselines["a.conf"] == before == digest(b"alpha")
 
 
 def test_modify_unknown_file():
@@ -274,6 +266,12 @@ def test_mutation_kinds():
     # Python would index from the end and edit the last byte.
     with pytest.raises(ValueError, match="flip offset -1 is negative"):
         Mutation("f", "flip", offset=-1).apply(b"ab")
+
+
+def test_a_mutation_refuses_an_unknown_kind_when_built():
+    with pytest.raises(ValueError) as caught:
+        Mutation("f", "chop")
+    assert str(caught.value) == "unknown mutation kind 'chop'"
 
 
 # -- faults ---------------------------------------------------------------------
@@ -419,7 +417,7 @@ def test_indexed_matcher_under_faults_agrees_with_the_oracle():
 
 def test_invert_rule_index_must_exist():
     fw = Firewall(rules=[allow(A, B, 0)])
-    with pytest.raises(InapplicableFault):
+    with pytest.raises(ValueError):
         inject_fault(fw, Fault(FaultName.INVERT_RULE, 1))
 
 
@@ -436,7 +434,7 @@ def test_invert_rule_index_must_exist():
 )
 def test_inject_fault_says_why_a_fault_cannot_apply(fault, problem):
     fw = Firewall(rules=[allow(A, B, 0)], files=files(), auth_mode=AuthMode.LOCAL)
-    with pytest.raises(InapplicableFault) as caught:
+    with pytest.raises(ValueError) as caught:
         inject_fault(fw, fault)
     assert str(caught.value) == f"fault {problem}"
 
@@ -524,13 +522,13 @@ def test_blind_integrity_hides_one_file():
 
 def test_blind_integrity_needs_a_known_file():
     fw = Firewall(files=files())
-    with pytest.raises(InapplicableFault):
+    with pytest.raises(ValueError):
         inject_fault(fw, Fault(FaultName.BLIND_INTEGRITY, "ghost"))
 
 
 def test_leak_credentials_needs_remote_mode():
     fw = Firewall(auth_mode=AuthMode.LOCAL)
-    with pytest.raises(InapplicableFault):
+    with pytest.raises(ValueError):
         inject_fault(fw, Fault(FaultName.LEAK_CREDENTIALS))
 
 
@@ -539,7 +537,7 @@ def test_leak_credentials_puts_secrets_on_the_wire():
     bad = inject_fault(fw, Fault(FaultName.LEAK_CREDENTIALS))
     seen = []
     tags = iter(range(100, 200))
-    bad.connect_console(lambda p, i: seen.append(p), lambda: next(tags), Address(B))
+    bad.connect_console(seen.append, lambda: next(tags), Address(B))
     bad.authenticate("alice", "s3cret")
     assert any(b"s3cret" in p.payload for p in seen)
 

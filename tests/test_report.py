@@ -130,6 +130,22 @@ def test_parse_rejects_a_member_nested_near_the_recursion_limit():
             parse_report(text)
 
 
+@pytest.mark.parametrize(
+    "wrap, kind",
+    [(lambda v: [v], "an array"), (lambda v: {"a": v}, "an object")],
+    ids=["array", "object"],
+)
+def test_dict_decoder_names_a_member_nested_past_the_recursion_limit(wrap, kind):
+    nested = []
+    for _ in range(5000):
+        nested = wrap(nested)
+    data = json.loads(GOLDEN_TEXT)
+    data["metadata"]["tool"] = nested
+    with pytest.raises(TypeError) as caught:
+        report_from_dict(data)
+    assert str(caught.value) == f"tool: expected string, got {kind} nested past the recursion limit"
+
+
 def _golden_with(*changes) -> str:
     """The golden report with the value at each (path, value) change replaced, as JSON text."""
     data = json.loads(GOLDEN_TEXT)

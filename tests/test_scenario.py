@@ -182,6 +182,69 @@ def test_a_bad_option_value_reads_the_same_at_parse_time_as_in_code(directive, b
     assert caught.value.problems == [f"line {len(text.splitlines())}: {built.value}"]
 
 
+# One malformed line per parser problem, with the section it sits in and
+# the exact problem it gives.
+_BAD_LINES = {
+    "no-value": ("profile", "seed", "profile directive 'seed' needs a value"),
+    "auth": ("profile", "auth sometimes", "auth must be local, remote or none: 'sometimes'"),
+    "on-off": ("profile", "link-layer maybe", "expected on or off: 'maybe'"),
+    "filter-fields": (
+        "profile", "filter-fields proto mtu", "filter-fields accepts proto and ttl: ['mtu']"
+    ),
+    "topology": (
+        "topology", "external probe", "expected: external|internal <name> <address> [<mac>]"
+    ),
+    "packet": ("traffic", "packet probe", "expected: packet <src-host> <dst-host> [options]"),
+    "account": ("accounts", "account alice", "expected: account <identifier> <password>"),
+    "file": ("files", "file x", "expected: file <id> text:...|hex:..."),
+    "mutate": ("mutations", "mutate x", "expected: mutate <file-id> flip|append|replace|none ..."),
+    "attempt": ("attempts", "attempt alice", "expected: attempt <identifier> <password>"),
+    "budget": ("variants", "budget 1 2", "expected: budget <amount>|unlimited"),
+    "variant": (
+        "variants", "variant r1 manual time=1", "expected: variant <requirement> <id> time=N cost=N"
+    ),
+    "inject": ("faults", "inject a b", "expected: inject <fault-spec>"),
+    "key-value": ("rules", "allow probe target ttl", "expected key=value, got 'ttl'"),
+    "unknown-option": (
+        "rules",
+        "allow probe target mtu=9",
+        "unknown option 'mtu', expected one of src-mac, dst-mac, proto, ttl",
+    ),
+    "given-twice": ("rules", "allow probe target proto=6 proto=17", "option 'proto' given twice"),
+    "variant-twice": ("variants", "variant r1 manual time=1 time=2", "option 'time' given twice"),
+    "variant-option": (
+        "variants",
+        "variant r1 manual time=1 speed=2",
+        "unknown option 'speed', expected one of time, cost",
+    ),
+    "none-argument": ("mutations", "mutate x none 3", "mutate ... none takes no argument"),
+    "flip-offset": ("mutations", "mutate x flip", "mutate ... flip needs a byte offset"),
+    "append-payload": ("mutations", "mutate x append", "mutate ... append needs a payload"),
+    "mutation-kind": ("mutations", "mutate x chop 3", "unknown mutation kind 'chop'"),
+}
+
+
+@pytest.mark.parametrize("section, line, problem", _BAD_LINES.values(), ids=_BAD_LINES.keys())
+def test_each_malformed_line_gives_its_exact_problem(section, line, problem):
+    text = f"{MINIMAL}\n[{section}]\n{line}\n"
+    with pytest.raises(ScenarioParseError) as caught:
+        parse_scenario(text)
+    assert caught.value.problems == [f"line {len(text.splitlines())}: {problem}"]
+
+
+def test_requirements_and_management_land_in_the_scenario():
+    sc = parse_scenario(
+        MINIMAL.replace("claims r1", "claims r1\nrequirements r1 r2\nmanagement 198.18.7.7")
+    )
+    assert (sc.claims, sc.requirements, sc.management) == (("r1",), ("r1", "r2"), "198.18.7.7")
+
+
+def test_a_loaded_scenario_is_a_value():
+    first, second = load_scenario(str(REFERENCE)), load_scenario(str(REFERENCE))
+    assert first == second and first is not second
+    assert hash(first) == hash(second)
+
+
 def test_single_ttl_value_pins_both_bounds():
     sc = parse_scenario(MINIMAL.replace("allow probe target", "allow probe target ttl=64"))
     assert (sc.rules[0].ttl_min, sc.rules[0].ttl_max) == (64, 64)

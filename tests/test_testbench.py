@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +22,6 @@ from fwconform.firewall import (
     FaultName,
     FileArtifact,
     FilterRule,
-    Firewall,
     Mutation,
     Packet,
     RuleAction,
@@ -28,6 +30,7 @@ from fwconform.firewall import (
     rule_order_problem,
 )
 from fwconform import testbench
+from fwconform.scenario import load_scenario, resolve_rules
 from fwconform.testbench import (
     FilterLevel,
     Host,
@@ -54,6 +57,7 @@ INT = [
     Host("int2", Address("203.0.113.21", "02:00:5e:20:00:02")),
 ]
 ACCOUNTS = [AdminAccount("alice", "s3cret!pass"), AdminAccount("bob", "hunter-two")]
+REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference.scn"
 
 
 def allow(src, dst, order=0, **kw):
@@ -107,12 +111,50 @@ def test_build_rejects_shared_addresses_and_names():
 )
 def test_a_bench_built_directly_checks_its_segments(external, internal, error, text):
     for build in (
-        lambda: testbench.Testbench(external, internal, (), (), Firewall()),
+        lambda: testbench.Testbench(external, internal),
         lambda: bench(external=external, internal=internal),
     ):
         with pytest.raises(error) as caught:
             build()
         assert str(caught.value) == text
+
+
+def test_the_bench_builds_its_product_from_its_own_copies():
+    rules = [deny("198.51.100.10", "203.0.113.21", 5), allow("198.51.100.10", "203.0.113.20", 2)]
+    b = testbench.Testbench(EXT, INT, iter(rules), iter(ACCOUNTS), seed=3)
+    assert testbench.build_testbench is testbench.Testbench
+    assert b.rules == (rules[1], rules[0]) and b.accounts == tuple(ACCOUNTS)
+    ev = run_auth_procedure(b)
+    assert [a.granted for a in ev.attempts] == [1, 0, 0, 0, 1]
+    assert [p[3] for p in ev.probes] == ["forwarded", "dropped"] * 2
+
+
+@pytest.mark.parametrize(
+    "spec, kw, text",
+    [
+        ("invert_rule:7", {}, "fault invert_rule:7: rule index outside the 4-rule set"),
+        ("blind_integrity:nope", {}, "fault blind_integrity:nope: unknown file 'nope'"),
+        (
+            "leak_credentials",
+            {"auth_mode": AuthMode.LOCAL},
+            "fault leak_credentials: needs remote sign-on mode",
+        ),
+    ],
+    ids=["invert_rule", "blind_integrity", "leak_credentials"],
+)
+def test_a_bench_refuses_a_fault_its_product_cannot_apply(spec, kw, text):
+    scenario = load_scenario(str(REFERENCE))
+    with pytest.raises(ValueError) as caught:
+        build_testbench(
+            scenario.external,
+            scenario.internal,
+            rules=resolve_rules(scenario),
+            accounts=scenario.accounts,
+            files=scenario.files,
+            faults=[Fault.parse(spec)],
+            **kw,
+        )
+    assert str(caught.value) == text
 
 
 def test_unknown_host_lookup():
@@ -230,14 +272,18 @@ def test_auth_local_mode_captures_nothing():
 def test_scan_finds_credential_substrings():
     packets = (
         Packet(Address("203.0.113.20"), Address("198.18.0.1"), payload_tag=9,
-               payload=b"id=alice pwd=s3cret!pass"),
+               payload=b"attempt=2 id=alice pwd=s3cret!pass"),
     )
-    findings = scan_for_plaintext_credentials(packets, ACCOUNTS, {9: 2})
+    findings = scan_for_plaintext_credentials(packets, ACCOUNTS)
     assert {(f.account_id, f.piece, f.attempt_index) for f in findings} == {
         ("alice", "identifier", 2),
         ("alice", "password", 2),
     }
     assert scan_for_plaintext_credentials(packets, [AdminAccount("zoe", "qq")]) == ()
+    # The attempt number is read from the payload; without one it is -1.
+    untagged = (replace(packets[0], payload=b"id=alice pwd=s3cret!pass"),)
+    findings = scan_for_plaintext_credentials(untagged, ACCOUNTS)
+    assert {(f.piece, f.attempt_index) for f in findings} == {("identifier", -1), ("password", -1)}
 
 
 @pytest.mark.parametrize(
@@ -269,7 +315,7 @@ def test_scan_matches_a_whole_password_with_spaces_and_equals_signs():
         Packet(Address("203.0.113.20"), Address("198.18.0.1"), payload_tag=4,
                payload=b"console-signon attempt=1 id=alice pwd=top secret=x"),
     )
-    findings = scan_for_plaintext_credentials(packets, accounts, {4: 1})
+    findings = scan_for_plaintext_credentials(packets, accounts)
     assert [(f.account_id, f.piece, f.attempt_index) for f in findings] == [
         ("alice", "identifier", 1),
         ("alice", "password", 1),
