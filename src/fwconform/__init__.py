@@ -6,6 +6,7 @@ from .campaign import child_seed, run_campaign
 from .errors import (
     FwconformError,
     Infeasible,
+    Refused,
     ScenarioError,
     ScenarioParseError,
     ScenarioValidationError,

@@ -7,48 +7,15 @@ class FwconformError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
-class UnsupportedRequirement(FwconformError):
-    """The product profile lacks the capability surface a procedure needs."""
+class Refused(FwconformError, ValueError):
+    """An input the layer that owns the rule refuses, carrying that layer's text."""
 
 
-class MisalignedCampaign(FwconformError):
-    """Claims and procedure outcomes do not cover the same requirements."""
-
-
-class UnknownFile(FwconformError):
-    """A file id is not part of the monitored file set."""
-
-
-class MechanismInactive(FwconformError):
-    """An operation needs a subsystem that was never activated."""
-
-
-class EmptySegment(FwconformError):
-    """A bench segment has no hosts."""
-
-
-class UnknownHost(FwconformError):
-    """A host name is not declared in the bench topology."""
-
-
-class InapplicableRule(FwconformError):
-    """A rule cannot be exercised at the requested screening level."""
-
-
-class InsufficientAttemptCoverage(FwconformError):
-    """The sign-on attempt list misses one of the four id/password combinations."""
-
-
-class NoMonitoredFiles(FwconformError, ValueError):
-    """An integrity run was asked of a product that monitors no files."""
-
-
-class DuplicateEntry(FwconformError, ValueError):
-    """An inventory (rule orders, host names or addresses, account or file ids) repeats a key."""
-
-
-class IncompleteEvidence(FwconformError):
-    """An evidence bundle is missing one of its required artifacts."""
+def refuse(*problems: str | bool | None) -> None:
+    """Raise `Refused` with the first problem given that is not None, False or empty."""
+    for problem in problems:
+        if problem:
+            raise Refused(problem)
 
 
 class Infeasible(FwconformError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence
 
-from .errors import DuplicateEntry, MechanismInactive, UnknownFile
+from .errors import Refused, refuse
 
 _MAC_RE = re.compile(r"[0-9a-f]{2}(:[0-9a-f]{2}){5}")
 # A canonical dotted quad: four octets 0-255 in ASCII digits, no leading zeros.
@@ -388,15 +388,13 @@ class Firewall:
         self._unjournaled = frozenset(e for e in FILTER_EVENTS if e.value in skipped)
         if FaultName.OMIT_AUTH_JOURNAL in self._fault_params:
             self._unjournaled |= frozenset(AUTH_EVENTS)
-        for problem in (
-            rule_order_problem(rules), account_id_problem(accounts), file_id_problem(files)
-        ):
-            if problem:
-                raise DuplicateEntry(problem)
-        for fault in self.faults:
-            problem = fault_problem(fault, len(rules), {f.file_id for f in files}, auth_mode)
-            if problem:
-                raise ValueError(problem)
+        file_ids = {f.file_id for f in files}
+        refuse(
+            rule_order_problem(rules),
+            account_id_problem(accounts),
+            file_id_problem(files),
+            *(fault_problem(fault, len(rules), file_ids, auth_mode) for fault in self.faults),
+        )
         self._journal: list[JournalEntry] = []
         inverted = self._fault_params.get(FaultName.INVERT_RULE, ())
         ignored = {}
@@ -533,7 +531,7 @@ class Firewall:
     def modify_file(self, file_id: str, mutation: Mutation) -> None:
         """Apply one byte edit; the baseline digest is left untouched."""
         if file_id not in self._files:
-            raise UnknownFile(f"no such monitored file: {file_id}")
+            raise Refused(f"no such monitored file: {file_id}")
         self._files[file_id] = mutation.apply(self._files[file_id])
 
     def run_integrity_check(self) -> dict[str, int]:
@@ -542,7 +540,7 @@ class Firewall:
         Each violation also leaves an alarm entry in the journal.
         """
         if self._baselines is None:
-            raise MechanismInactive("integrity baselines were never recorded")
+            raise Refused("integrity baselines were never recorded")
         blind = self._fault_params.get(FaultName.BLIND_INTEGRITY, ())
         report: dict[str, int] = {}
         for file_id, content in self._files.items():

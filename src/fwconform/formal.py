@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .errors import MisalignedCampaign, UnsupportedRequirement
+from .errors import Refused, refuse
 from .firewall import AuthMode
 
 
@@ -157,8 +157,7 @@ def develop_procedure(profile: FirewallProfile, requirement: Requirement) -> Tes
     """Derive the one procedure that sources from `requirement` for this profile."""
     caps = profile.capabilities
     problem = capability_problem(requirement.kind, caps)
-    if problem:
-        raise UnsupportedRequirement(f"{requirement.id}: {problem}")
+    refuse(problem and f"{requirement.id}: {problem}")
     proc_id = f"{profile.name}/{requirement.id}"
     if requirement.kind in FILTER_LEVELS:
         attrs = ", ".join(requirement.params)
@@ -215,7 +214,7 @@ def develop_procedure(profile: FirewallProfile, requirement: Requirement) -> Tes
             ),
             expected="a file is flagged if and only if it was edited",
         )
-    raise UnsupportedRequirement(f"no procedure template for kind {requirement.kind}")
+    raise Refused(f"no procedure template for kind {requirement.kind}")
 
 
 def claim_bit(profile: FirewallProfile, requirement_id: str) -> int:
@@ -288,18 +287,15 @@ def aggregate_verdict(
     bit is 0 unless an outcome was recorded anyway.
     """
     ids = [req.id for req, _ in claims]
-    if len(set(ids)) != len(ids):
-        raise MisalignedCampaign("duplicate requirement in the claims list")
     claimed = {req.id for req, bit in claims if bit}
     missing = claimed - set(outcomes)
     extra = set(outcomes) - set(ids)
-    if extra or missing:
-        parts = []
-        if missing:
-            parts.append(f"no outcome for {', '.join(sorted(missing))}")
-        if extra:
-            parts.append(f"outcome for requirement outside scope: {', '.join(sorted(extra))}")
-        raise MisalignedCampaign("; ".join(parts))
+    parts = []
+    if missing:
+        parts.append(f"no outcome for {', '.join(sorted(missing))}")
+    if extra:
+        parts.append(f"outcome for requirement outside scope: {', '.join(sorted(extra))}")
+    refuse(len(set(ids)) != len(ids) and "duplicate requirement in the claims list", "; ".join(parts))
     pairs = []
     for req, bit in claims:
         outcome = outcomes.get(req.id)

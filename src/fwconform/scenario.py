@@ -51,8 +51,9 @@ from .formal import (
 )
 from .optimizer import ProcedureVariant
 from .testbench import (
-    Host, TrafficSpec, account_problem, attempt_coverage_problem, filter_level_problem,
-    host_address_problem, host_name_problem, monitored_file_problem, segment_problem,
+    Host, TrafficSpec, account_problem, attempt_coverage_problem, endpoint_problems,
+    filter_level_problem, host_address_problem, host_name_problem, monitored_file_problem,
+    segment_problem,
 )
 
 _SECTIONS = (
@@ -370,6 +371,11 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         value = getattr(scenario, what)
         if value is not None and value < 0:
             say(f"{what} must be nonnegative: {value}")
+    if scenario.management:
+        try:
+            Address(scenario.management)
+        except ValueError as exc:
+            say(f"management: {exc}")
 
     # The enforcing layers own these preconditions and their texts.
     claims = dict.fromkeys(c for c in scenario.claims if c in ALL_REQUIREMENTS)
@@ -403,11 +409,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     external = {h.name for h in scenario.external}
     internal = {h.name for h in scenario.internal}
     for noun, records in (("rule", scenario.rules), ("packet", scenario.traffic or ())):
-        for i, record in enumerate(records, start=1):
-            if record.src not in external:
-                say(f"{noun} {i}: source {record.src!r} is not an external host")
-            if record.dst not in internal:
-                say(f"{noun} {i}: destination {record.dst!r} is not an internal host")
+        problems += endpoint_problems(noun, records, external, internal)
     if scenario.traffic == ():
         say("traffic list is empty")
 

@@ -19,14 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Collection, Iterable, Sequence
 
-from .errors import (
-    DuplicateEntry,
-    EmptySegment,
-    InapplicableRule,
-    InsufficientAttemptCoverage,
-    NoMonitoredFiles,
-    UnknownHost,
-)
+from .errors import Refused, refuse
 from .firewall import (
     DEFAULT_PROTO,
     DEFAULT_TTL,
@@ -100,14 +93,16 @@ class Testbench:
         self.rules = tuple(sorted(rules, key=lambda r: r.order))
         self.accounts = tuple(accounts)
         self.fw = Firewall(self.rules, self.accounts, files, auth_mode, management, faults)
-        for name, segment in (("external", external), ("internal", internal)):
-            problem = segment_problem(name, segment)
-            if problem:
-                raise EmptySegment(problem)
         hosts = [*external, *internal]
-        for problem in (host_address_problem(hosts), host_name_problem(hosts)):
-            if problem:
-                raise DuplicateEntry(problem)
+        outside = {h.address.net for h in external}
+        inside = {h.address.net for h in internal}
+        refuse(
+            segment_problem("external", external),
+            segment_problem("internal", internal),
+            host_address_problem(hosts),
+            host_name_problem(hosts),
+            *endpoint_problems("rule", self.rules, outside, inside),
+        )
         self.external = tuple(external)
         self.internal = tuple(internal)
         self._hosts = {h.name: h for h in self.external + self.internal}
@@ -124,7 +119,7 @@ class Testbench:
         try:
             return self._hosts[name]
         except KeyError:
-            raise UnknownHost(f"no host named {name!r} on the bench") from None
+            raise Refused(f"no host named {name!r} on the bench") from None
 
 
 def segment_problem(name: str, hosts: Collection[Host]) -> str | None:
@@ -140,6 +135,23 @@ def host_address_problem(hosts: Iterable[Host]) -> str | None:
 def host_name_problem(hosts: Iterable[Host]) -> str | None:
     """Why a host name would not say which host it means, or None."""
     return duplicate_problem("host name(s)", (h.name for h in hosts))
+
+
+def endpoint_problems(
+    noun: str, records: Iterable, external: Collection[str], internal: Collection[str]
+) -> list[str]:
+    """Why each record's source is not outside or its destination not inside, if so.
+
+    `validate_scenario` names the hosts on each side, the bench gives their
+    network addresses; records are numbered from 1 in the order given.
+    """
+    problems = []
+    for i, record in enumerate(records, start=1):
+        if record.src not in external:
+            problems.append(f"{noun} {i}: source {record.src!r} is not an external host")
+        if record.dst not in internal:
+            problems.append(f"{noun} {i}: destination {record.dst!r} is not an internal host")
+    return problems
 
 
 # The one bench constructor, under the name the campaign calls it by.
@@ -230,9 +242,7 @@ def run_filter_procedure(
     traffic: Sequence[TrafficSpec] | None = None,
 ) -> FilterEvidence:
     """Replay probe traffic through the loaded product and collect the evidence."""
-    problem = filter_level_problem(level, bench.external + bench.internal, bench.rules)
-    if problem:
-        raise InapplicableRule(problem)
+    refuse(filter_level_problem(level, bench.external + bench.internal, bench.rules))
     bench.inside.clear()
     mark = len(bench.fw.export_journal())
     packets = generate_packets(bench, traffic)
@@ -353,13 +363,9 @@ def run_auth_procedure(
     acceptance weight.
     """
     registered = bench.accounts
-    problem = account_problem(registered)
-    if problem:
-        raise InsufficientAttemptCoverage(problem)
+    refuse(account_problem(registered))
     tried = list(attempts) if attempts is not None else _default_attempts(registered)
-    problem = attempt_coverage_problem(tried, registered)
-    if problem:
-        raise InsufficientAttemptCoverage(problem)
+    refuse(attempt_coverage_problem(tried, registered))
     mode = bench.fw.auth_mode
     bench.inside.clear()
     mark = len(bench.fw.export_journal())
@@ -453,9 +459,7 @@ def run_integrity_procedure(
     happens to restore the original content counts as unmodified.
     """
     fw = bench.fw
-    problem = monitored_file_problem(fw.files)
-    if problem:
-        raise NoMonitoredFiles(problem)
+    refuse(monitored_file_problem(fw.files))
     fw.activate_integrity()
     before = fw.files
     for mutation in mutations:

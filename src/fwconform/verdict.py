@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Union
 
-from .errors import IncompleteEvidence
+from .errors import Refused
 from .formal import CriterionResult, FilterLevel
 from .firewall import AUTH_EVENTS, FilterRule, JournalEntry, JournalEvent, Packet, RuleAction
 from .testbench import AuthEvidence, FilterEvidence, IntegrityEvidence
@@ -116,7 +116,7 @@ def probe_ledger(evidence: FilterEvidence) -> tuple[ProbeRow, ...]:
     out_tags = {p.payload_tag for p in evidence.packet_out}
     stray = out_tags.difference(p.payload_tag for p in evidence.packet_in)
     if stray:
-        raise IncompleteEvidence(f"delivered packet {min(stray)} is not a probe")
+        raise Refused(f"delivered packet {min(stray)} is not a probe")
     level = evidence.level
     rows = []
     for packet in evidence.packet_in:
@@ -136,7 +136,7 @@ def evaluate_filter_criteria(evidence: FilterEvidence) -> tuple[CriterionResult,
     records plain address pairs, against the delivered/blocked traffic.
     """
     if not evidence.packet_in:
-        raise IncompleteEvidence("no probe traffic sent")
+        raise Refused("no probe traffic sent")
     rows = probe_ledger(evidence)
     allowed = [r.rule is not None and r.rule.action is RuleAction.ALLOW for r in rows]
     expect_forward = PairSet(r.key for r, allow in zip(rows, allowed) if allow)
@@ -170,7 +170,7 @@ def evaluate_filter_criteria(evidence: FilterEvidence) -> tuple[CriterionResult,
 def evaluate_auth_criteria(evidence: AuthEvidence) -> tuple[CriterionResult, ...]:
     """Sign-on acceptance: grant decisions, journal completeness, capture hygiene."""
     if not evidence.attempts:
-        raise IncompleteEvidence("no sign-on attempts recorded")
+        raise Refused("no sign-on attempts recorded")
     registered = {(a.identifier, a.password) for a in evidence.accounts}
 
     wrongly_rejected = [
@@ -239,7 +239,7 @@ def evaluate_integrity_criteria(evidence: IntegrityEvidence) -> tuple[CriterionR
     A missed edit and a false alarm both count against the product.
     """
     if not evidence.files:
-        raise IncompleteEvidence("no file check records")
+        raise Refused("no file check records")
     missed = [r.file_id for r in evidence.files if r.modified and not r.detected]
     false_alarms = [r.file_id for r in evidence.files if r.detected and not r.modified]
     bit = int(not missed and not false_alarms)

@@ -29,3 +29,9 @@ def test_traced_fault_sweep_emits_every_per_layer_metric(tmp_path, monkeypatch):
     assert metrics["testbench.host_calls"]["value"] > 0
     assert metrics["firewall.filter_packet_calls"]["value"] > 0
     assert metrics["scenario.resolve_calls"]["value"] == 1
+    # Every traced layer takes time of its own; export no longer calls
+    # `report_to_dict`, so that one layer reads 0 by design.
+    idle = {"report.to_dict_s"}
+    assert set(run.SELF_TIME_METRICS.values()) >= idle
+    for metric in sorted(set(run.SELF_TIME_METRICS.values()) - idle):
+        assert metrics[metric]["value"] > 0, metric

@@ -318,6 +318,14 @@ _REFUSED = {
         dict(variants=(ProcedureVariant("r2", "a", 1, 0),)),
         "variant(s) for unclaimed requirement(s): r2",
     ),
+    "malformed-management": (
+        dict(management="bogus"),
+        "management: not a canonical dotted-quad network address: 'bogus'",
+    ),
+    "management-leading-zero": (
+        dict(management="198.18.0.01"),
+        "management: not a canonical dotted-quad network address: '198.18.0.01'",
+    ),
 }
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import oracle_forwarded_tags
-from fwconform.errors import MechanismInactive, UnknownFile
+from fwconform.errors import Refused
 from fwconform.firewall import (
     AdminAccount,
     Address,
@@ -227,7 +227,7 @@ def files():
 
 def test_integrity_check_needs_baselines():
     fw = Firewall(files=files())
-    with pytest.raises(MechanismInactive):
+    with pytest.raises(Refused):
         fw.run_integrity_check()
 
 
@@ -252,7 +252,7 @@ def test_modify_file_keeps_baseline_digest():
 
 def test_modify_unknown_file():
     fw = Firewall(files=files())
-    with pytest.raises(UnknownFile):
+    with pytest.raises(Refused):
         fw.modify_file("ghost", Mutation("ghost", "none"))
 
 

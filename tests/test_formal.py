@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from fwconform.errors import MisalignedCampaign, UnsupportedRequirement
+from fwconform.errors import Refused
 from fwconform.firewall import AuthMode
 from fwconform.formal import (
     ALL_REQUIREMENTS,
@@ -49,16 +49,16 @@ def test_develop_procedure_is_deterministic_and_injective():
 
 def test_develop_procedure_capability_gates():
     no_link = FirewallProfile("s", ("r1-link",), Capabilities(link_layer=False))
-    with pytest.raises(UnsupportedRequirement):
+    with pytest.raises(Refused):
         develop_procedure(no_link, ALL_REQUIREMENTS["r1-link"])
     no_fields = FirewallProfile("s", ("r1-fields",), Capabilities(filter_fields=()))
-    with pytest.raises(UnsupportedRequirement):
+    with pytest.raises(Refused):
         develop_procedure(no_fields, ALL_REQUIREMENTS["r1-fields"])
     no_auth = FirewallProfile("s", ("r2",), Capabilities(auth_mode=None))
-    with pytest.raises(UnsupportedRequirement):
+    with pytest.raises(Refused):
         develop_procedure(no_auth, ALL_REQUIREMENTS["r2"])
     no_trigger = FirewallProfile("s", ("r3",), Capabilities(integrity_trigger=False))
-    with pytest.raises(UnsupportedRequirement):
+    with pytest.raises(Refused):
         develop_procedure(no_trigger, ALL_REQUIREMENTS["r3"])
 
 
@@ -122,12 +122,12 @@ def test_campaign_rejects_claims_outside_the_catalog():
 
 def test_aggregate_requires_alignment():
     claims = [(ALL_REQUIREMENTS[r], 1) for r in CORE]
-    with pytest.raises(MisalignedCampaign):
+    with pytest.raises(Refused):
         aggregate_verdict(claims, {"r1": ProcedureOutcome(1), "r2": ProcedureOutcome(1)})
     full = {r: ProcedureOutcome(1) for r in CORE}
-    with pytest.raises(MisalignedCampaign):
+    with pytest.raises(Refused):
         aggregate_verdict(claims, dict(full, r9=ProcedureOutcome(1)))
-    with pytest.raises(MisalignedCampaign):
+    with pytest.raises(Refused):
         aggregate_verdict(claims + [claims[0]], full)
 
 

@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwconform.errors import (
-    DuplicateEntry,
-    EmptySegment,
-    FwconformError,
-    InapplicableRule,
-    InsufficientAttemptCoverage,
-    NoMonitoredFiles,
-    UnknownHost,
-)
+from fwconform.errors import FwconformError, Refused
 from fwconform.firewall import (
     AdminAccount,
     Address,
@@ -26,18 +18,30 @@ from fwconform.firewall import (
     Packet,
     RuleAction,
     account_id_problem,
+    fault_problem,
     file_id_problem,
     rule_order_problem,
+)
+from fwconform.formal import (
+    ALL_REQUIREMENTS,
+    Capabilities,
+    FirewallProfile,
+    RequirementKind,
+    aggregate_verdict,
+    capability_problem,
+    develop_procedure,
 )
 from fwconform import testbench
 from fwconform.scenario import load_scenario, resolve_rules
 from fwconform.testbench import (
+    FilterEvidence,
     FilterLevel,
     Host,
     TrafficSpec,
     account_problem,
     attempt_coverage_problem,
     build_testbench,
+    endpoint_problems,
     filter_level_problem,
     generate_packets,
     host_name_problem,
@@ -47,6 +51,7 @@ from fwconform.testbench import (
     run_integrity_procedure,
     scan_for_plaintext_credentials,
 )
+from fwconform.verdict import evaluate_filter_criteria
 
 EXT = [
     Host("ext1", Address("198.51.100.10", "02:00:5e:10:00:01")),
@@ -75,46 +80,44 @@ def bench(**kw):
 
 
 def test_build_rejects_empty_segments():
-    with pytest.raises(EmptySegment):
+    with pytest.raises(Refused):
         bench(external=[])
-    with pytest.raises(EmptySegment):
+    with pytest.raises(Refused):
         bench(internal=[])
 
 
 def test_build_rejects_shared_addresses_and_names():
-    with pytest.raises(DuplicateEntry):
+    with pytest.raises(Refused):
         bench(internal=[Host("x", Address("198.51.100.10"))])
     with pytest.raises(ValueError):
         bench(internal=[Host("ext1", Address("203.0.113.20"))])
 
 
 @pytest.mark.parametrize(
-    "external, internal, error, text",
+    "external, internal, text",
     [
-        (EXT, [], EmptySegment, "no internal hosts"),
-        ([], INT, EmptySegment, "no external hosts"),
-        (EXT, [Host("ext1", INT[0].address)], DuplicateEntry, "duplicate host name(s): ext1"),
+        (EXT, [], "no internal hosts"),
+        ([], INT, "no external hosts"),
+        (EXT, [Host("ext1", INT[0].address)], "duplicate host name(s): ext1"),
         (
             EXT,
             [Host("x", Address("198.51.100.10"))],
-            DuplicateEntry,
             "duplicate host address(es): 198.51.100.10",
         ),
         (
             EXT,
             [*INT, Host("x", INT[1].address)],
-            DuplicateEntry,
             "duplicate host address(es): 203.0.113.21",
         ),
     ],
     ids=["no-inside", "no-outside", "twin-name", "shared-address", "address-twice-inside"],
 )
-def test_a_bench_built_directly_checks_its_segments(external, internal, error, text):
+def test_a_bench_built_directly_checks_its_segments(external, internal, text):
     for build in (
         lambda: testbench.Testbench(external, internal),
         lambda: bench(external=external, internal=internal),
     ):
-        with pytest.raises(error) as caught:
+        with pytest.raises(Refused) as caught:
             build()
         assert str(caught.value) == text
 
@@ -157,9 +160,30 @@ def test_a_bench_refuses_a_fault_its_product_cannot_apply(spec, kw, text):
     assert str(caught.value) == text
 
 
+def test_a_bench_refuses_rule_endpoints_that_are_not_its_hosts_addresses():
+    # Host names are not addresses: unresolved, the rules match no probe,
+    # and an inverted rule would go unseen.
+    scenario = load_scenario(str(REFERENCE))
+    kw = dict(accounts=scenario.accounts, files=scenario.files)
+    with pytest.raises(Refused) as caught:
+        build_testbench(scenario.external, scenario.internal, rules=scenario.rules, **kw)
+    assert str(caught.value) == "rule 1: source 'ext1' is not an external host"
+    b = build_testbench(
+        scenario.external,
+        scenario.internal,
+        rules=resolve_rules(scenario),
+        faults=[Fault.parse("invert_rule:0")],
+        **kw,
+    )
+    criteria = evaluate_filter_criteria(
+        run_filter_procedure(b, FilterLevel.NETWORK, scenario.traffic)
+    )
+    assert [c.bit for c in criteria].count(0) == 2
+
+
 def test_unknown_host_lookup():
     b = bench()
-    with pytest.raises(UnknownHost):
+    with pytest.raises(Refused):
         b.host("ghost")
 
 
@@ -221,14 +245,14 @@ def test_filter_run_resets_taps_between_runs():
 def test_link_level_requires_link_addresses_everywhere():
     bare = [Host("ext1", Address("198.51.100.10"))]
     b = build_testbench(bare, INT, rules=[allow("198.51.100.10", "203.0.113.20", 0)])
-    with pytest.raises(InapplicableRule):
+    with pytest.raises(Refused):
         run_filter_procedure(b, FilterLevel.LINK)
 
 
 def test_fields_level_requires_a_constrained_rule():
     rules = [allow("198.51.100.10", "203.0.113.20", 0)]
     b = bench(rules=rules)
-    with pytest.raises(InapplicableRule):
+    with pytest.raises(Refused):
         run_filter_procedure(b, FilterLevel.FIELDS)
 
 
@@ -242,10 +266,10 @@ def test_auth_default_attempts_cover_the_four_combinations():
 
 def test_auth_rejects_thin_attempt_lists():
     b = bench(accounts=ACCOUNTS)
-    with pytest.raises(InsufficientAttemptCoverage):
+    with pytest.raises(Refused):
         run_auth_procedure(b, attempts=[("alice", "s3cret!pass")])
     empty = bench()
-    with pytest.raises(InsufficientAttemptCoverage):
+    with pytest.raises(Refused):
         run_auth_procedure(empty)
 
 
@@ -375,40 +399,73 @@ def test_integrity_needs_monitored_files():
 
 
 def test_procedure_errors_carry_the_owner_text():
-    # `validate_scenario` reports these same texts, the claim preconditions
-    # behind "<claim> claimed but".
+    # Every input a layer refuses raises `Refused`, a ValueError carrying the
+    # owner's text; `validate_scenario` reports the claim preconditions among
+    # these behind "<claim> claimed but".
     rules = [allow("198.51.100.10", "203.0.113.20", 0)]
     bare = [Host("ext1", Address("198.51.100.10"))]
     twin = [Host("ext1", Address("203.0.113.20"))]
     orders = rules + [deny("198.51.100.10", "203.0.113.21", 0)]
     accounts = ACCOUNTS + [AdminAccount("alice", "other")]
     files = [FileArtifact("a", b"x"), FileArtifact("a", b"y")]
+    inside_out = [deny("203.0.113.20", "198.51.100.10")]
+    no_auth = FirewallProfile("s", ("r2",), Capabilities(auth_mode=None))
+    inverted = Fault.parse("invert_rule:1")
     cases = [
         (
             lambda: run_filter_procedure(build_testbench(bare, INT, rules=rules), FilterLevel.LINK),
-            InapplicableRule,
             filter_level_problem(FilterLevel.LINK, bare + INT, rules),
         ),
         (
             lambda: run_filter_procedure(bench(rules=rules), FilterLevel.FIELDS),
-            InapplicableRule,
             filter_level_problem(FilterLevel.FIELDS, EXT + INT, rules),
         ),
-        (lambda: run_auth_procedure(bench()), InsufficientAttemptCoverage, account_problem(())),
+        (lambda: run_auth_procedure(bench()), account_problem(())),
         (
             lambda: run_auth_procedure(bench(accounts=ACCOUNTS), attempts=[("x", "y")]),
-            InsufficientAttemptCoverage,
             attempt_coverage_problem([("x", "y")], ACCOUNTS),
         ),
-        (lambda: run_integrity_procedure(bench()), NoMonitoredFiles, monitored_file_problem(())),
-        (lambda: bench(internal=twin), DuplicateEntry, host_name_problem(EXT + twin)),
-        (lambda: bench(rules=orders), DuplicateEntry, rule_order_problem(orders)),
-        (lambda: bench(accounts=accounts), DuplicateEntry, account_id_problem(accounts)),
-        (lambda: bench(files=files), DuplicateEntry, file_id_problem(files)),
+        (lambda: run_integrity_procedure(bench()), monitored_file_problem(())),
+        (lambda: bench(internal=twin), host_name_problem(EXT + twin)),
+        (lambda: bench(rules=orders), rule_order_problem(orders)),
+        (lambda: bench(accounts=accounts), account_id_problem(accounts)),
+        (lambda: bench(files=files), file_id_problem(files)),
+        (
+            lambda: develop_procedure(no_auth, ALL_REQUIREMENTS["r2"]),
+            f"r2: {capability_problem(RequirementKind.ADMIN_AUTH, no_auth.capabilities)}",
+        ),
+        (
+            lambda: aggregate_verdict([(ALL_REQUIREMENTS["r1"], 1)], {}),
+            "no outcome for r1",
+        ),
+        (lambda: bench().host("ghost"), "no host named 'ghost' on the bench"),
+        (
+            lambda: bench(files=files[:1]).fw.modify_file("z", Mutation("z", "flip", offset=0)),
+            "no such monitored file: z",
+        ),
+        (
+            lambda: bench(files=files[:1]).fw.run_integrity_check(),
+            "integrity baselines were never recorded",
+        ),
+        (
+            lambda: evaluate_filter_criteria(
+                FilterEvidence(FilterLevel.NETWORK, tuple(rules), (), (), (), ())
+            ),
+            "no probe traffic sent",
+        ),
+        (
+            lambda: bench(rules=rules, faults=[inverted]),
+            fault_problem(inverted, len(rules), (), AuthMode.REMOTE),
+        ),
+        (
+            lambda: bench(rules=inside_out),
+            endpoint_problems("rule", inside_out, {"198.51.100.10"}, {"203.0.113.20"})[0],
+        ),
     ]
-    for run, error, text in cases:
+    for run, text in cases:
         assert text
-        with pytest.raises(error) as caught:
+        with pytest.raises(Refused) as caught:
             run()
         assert str(caught.value) == text
+        assert isinstance(caught.value, ValueError)
         assert isinstance(caught.value, FwconformError)

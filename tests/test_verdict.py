@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from _oracles import oracle_filter_bits, oracle_first_match
 from fwconform.campaign import run_campaign
-from fwconform.errors import IncompleteEvidence
+from fwconform.errors import Refused
 from fwconform.firewall import (
     AdminAccount,
     Address,
@@ -218,7 +218,7 @@ def test_suppressed_pass_entries_break_only_the_journal_equation():
 
 def test_filter_evaluation_needs_probe_traffic():
     ev = FilterEvidence(FilterLevel.NETWORK, tuple(RULES), (), (), (), ())
-    with pytest.raises(IncompleteEvidence):
+    with pytest.raises(Refused):
         evaluate_filter_criteria(ev)
 
 
@@ -328,7 +328,7 @@ def test_a_saved_report_rebuilds_the_same_ledger(spec):
 def test_a_delivered_packet_that_was_never_sent_is_refused():
     ev = filter_evidence()
     stray = replace(ev.packet_in[0], payload_tag=999)
-    with pytest.raises(IncompleteEvidence, match="delivered packet 999 is not a probe"):
+    with pytest.raises(Refused, match="delivered packet 999 is not a probe"):
         evaluate_filter_criteria(replace(ev, packet_out=ev.packet_out + (stray,)))
 
 
@@ -422,7 +422,7 @@ def test_out_of_order_journal_is_rejected():
 
 def test_auth_evaluation_needs_attempts():
     ev = AuthEvidence(auth_evidence().mode, tuple(ACCOUNTS), (), (), (), (), ())
-    with pytest.raises(IncompleteEvidence):
+    with pytest.raises(Refused):
         evaluate_auth_criteria(ev)
 
 
@@ -455,5 +455,5 @@ def test_false_alarm_fails_too():
 
 
 def test_integrity_evaluation_needs_file_records():
-    with pytest.raises(IncompleteEvidence):
+    with pytest.raises(Refused):
         evaluate_integrity_criteria(IntegrityEvidence((), ()))
