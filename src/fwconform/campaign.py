@@ -23,7 +23,6 @@ from .firewall import Address, AuthMode, Fault, FilterRule
 from .formal import (
     ALL_REQUIREMENTS,
     FILTER_LEVELS,
-    Campaign,
     ProcedureOutcome,
     RequirementKind,
     aggregate_verdict,
@@ -81,31 +80,30 @@ def run_campaign(scenario: Scenario, faults: Sequence[Fault] | None = None) -> R
         scenario = replace(scenario, faults=tuple(faults))
     check_scenario(scenario)
     profile = scenario.profile()
-    campaign = Campaign(profile)
-    procedures = campaign.develop_all()
+    procedures = profile.develop_all()
     plan = optimize_plan(scenario.variant_catalog(), scenario.budget)
     rules = resolve_rules(scenario)
 
     outcomes: dict[str, ProcedureOutcome] = {}
     records = []
-    for req in campaign.claimed_requirements():
-        procedure = procedures[req.id]
-        bench = _fresh_bench(scenario, req.id, rules)
-        if req.kind in FILTER_LEVELS:
-            evidence = run_filter_procedure(bench, FILTER_LEVELS[req.kind], scenario.traffic)
+    for rid, procedure in procedures.items():
+        kind = ALL_REQUIREMENTS[rid].kind
+        bench = _fresh_bench(scenario, rid, rules)
+        if kind in FILTER_LEVELS:
+            evidence = run_filter_procedure(bench, FILTER_LEVELS[kind], scenario.traffic)
             criteria = evaluate_filter_criteria(evidence)
-        elif req.kind is RequirementKind.ADMIN_AUTH:
+        elif kind is RequirementKind.ADMIN_AUTH:
             evidence = run_auth_procedure(bench, scenario.attempts)
             criteria = evaluate_auth_criteria(evidence)
         else:
             evidence = run_integrity_procedure(bench, scenario.mutations)
             criteria = evaluate_integrity_criteria(evidence)
         outcome = ProcedureOutcome.from_criteria(criteria)
-        outcomes[req.id] = outcome
+        outcomes[rid] = outcome
         records.append(
             ProcedureRecord(
                 procedure=procedure,
-                kind=req.kind,
+                kind=kind,
                 claim=1,
                 outcome=outcome,
                 evidence=evidence,

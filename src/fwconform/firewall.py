@@ -334,19 +334,16 @@ def duplicate_problem(noun: str, keys: Iterable[Hashable]) -> str | None:
     return f"duplicate {noun}: {', '.join(map(str, dup))}" if dup else None
 
 
-def rule_order_problem(rules: Iterable[FilterRule]) -> str | None:
-    """Why the rules have no single first match, or None."""
-    return duplicate_problem("rule order(s)", (r.order for r in rules))
-
-
-def account_id_problem(accounts: Iterable[AdminAccount]) -> str | None:
-    """Why a sign-on could match two accounts, or None."""
-    return duplicate_problem("account identifier(s)", (a.identifier for a in accounts))
-
-
-def file_id_problem(files: Iterable[FileArtifact]) -> str | None:
-    """Why two monitored files share one id, or None."""
-    return duplicate_problem("file id(s)", (f.file_id for f in files))
+def configuration_problems(
+    rules: Iterable[FilterRule], accounts: Iterable[AdminAccount], files: Iterable[FileArtifact]
+) -> list[str]:
+    """Why two rules share an order, two accounts an identifier or two files an id."""
+    found = (
+        duplicate_problem("rule order(s)", (r.order for r in rules)),
+        duplicate_problem("account identifier(s)", (a.identifier for a in accounts)),
+        duplicate_problem("file id(s)", (f.file_id for f in files)),
+    )
+    return [problem for problem in found if problem]
 
 
 class Firewall:
@@ -390,9 +387,7 @@ class Firewall:
             self._unjournaled |= frozenset(AUTH_EVENTS)
         file_ids = {f.file_id for f in files}
         refuse(
-            rule_order_problem(rules),
-            account_id_problem(accounts),
-            file_id_problem(files),
+            *configuration_problems(rules, accounts, files),
             *(fault_problem(fault, len(rules), file_ids, auth_mode) for fault in self.faults),
         )
         self._journal: list[JournalEntry] = []

@@ -118,8 +118,15 @@ class FirewallProfile:
     capabilities: Capabilities = Capabilities()
 
     def __post_init__(self):
-        if len(set(self.claims)) != len(self.claims):
-            raise ValueError("claimed requirement ids must be unique")
+        unknown = [c for c in self.claims if c not in ALL_REQUIREMENTS]
+        refuse(
+            len(set(self.claims)) != len(self.claims) and "claimed requirement ids must be unique",
+            unknown and f"claims outside the catalog: {', '.join(unknown)}",
+        )
+
+    def develop_all(self) -> dict[str, TestProcedure]:
+        """The one procedure per claimed requirement, keyed by its id, in claim order."""
+        return {c: develop_procedure(self, ALL_REQUIREMENTS[c]) for c in self.claims}
 
 
 @dataclass(frozen=True)
@@ -304,22 +311,5 @@ def aggregate_verdict(
     return CampaignVerdict(pairs=tuple(pairs), n=len(pairs), conform=conform)
 
 
-@dataclass(frozen=True)
-class Campaign:
-    """A profile bound to the requirement catalog it draws claims from."""
-
-    profile: FirewallProfile
-
-    def __post_init__(self):
-        unknown = [c for c in self.profile.claims if c not in ALL_REQUIREMENTS]
-        if unknown:
-            raise ValueError(f"claims outside the catalog: {', '.join(unknown)}")
-
-    def claimed_requirements(self) -> tuple[Requirement, ...]:
-        return tuple(ALL_REQUIREMENTS[c] for c in self.profile.claims)
-
-    def develop_all(self) -> dict[str, TestProcedure]:
-        return {
-            req.id: develop_procedure(self.profile, req)
-            for req in self.claimed_requirements()
-        }
+# The profile under its old name, which `perfbench` times `develop_all` by.
+Campaign = FirewallProfile

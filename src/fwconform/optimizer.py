@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Mapping, Sequence
 
-from .errors import Infeasible
+from .errors import Infeasible, refuse
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,13 @@ def _validated_groups(
 ) -> list[tuple[ProcedureVariant, ...]]:
     groups = []
     for rid, variants in catalog.items():
-        if not variants:
-            raise ValueError(f"requirement {rid} has no procedure variants")
         names = [v.variant_id for v in variants]
-        if len(set(names)) != len(names):
-            raise ValueError(f"requirement {rid} has duplicate variant ids")
         stray = [v.variant_id for v in variants if v.requirement_id != rid]
-        if stray:
-            raise ValueError(f"variants filed under {rid} but naming another requirement: {stray}")
+        refuse(
+            not variants and f"requirement {rid} has no procedure variants",
+            len(set(names)) != len(names) and f"requirement {rid} has duplicate variant ids",
+            stray and f"variants filed under {rid} but naming another requirement: {stray}",
+        )
         groups.append(tuple(variants))
     return groups
 
@@ -84,8 +83,7 @@ def optimize_plan(
     limit no selection can overrun: the dearest variant of every group.
     """
     groups = _validated_groups(catalog)
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be nonnegative: {budget}")
+    refuse(budget is not None and budget < 0 and f"budget must be nonnegative: {budget}")
     limit = sum(max(v.cost for v in g) for g in groups) if budget is None else budget
 
     @cache

@@ -45,7 +45,7 @@ from operator import attrgetter, itemgetter
 from types import UnionType
 from typing import Callable, NamedTuple, Union, get_args, get_origin, get_type_hints
 
-from .errors import ReportFormatError
+from .errors import Refused, ReportFormatError
 from .firewall import Address
 from .formal import CampaignVerdict, ProcedureOutcome, RequirementKind, TestProcedure
 from .optimizer import CampaignPlan
@@ -340,7 +340,7 @@ def export_report(report: Report, fmt: str = "machine") -> str:
         return _codec(Report, 0).write(report) + "\n"
     if fmt == "human":
         return render_human(report)
-    raise ValueError(f"unknown report format {fmt!r}")
+    raise Refused(f"unknown report format {fmt!r}")
 
 
 @contextmanager

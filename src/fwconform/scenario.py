@@ -39,11 +39,9 @@ from .firewall import (
     FilterRule,
     Mutation,
     RuleAction,
-    account_id_problem,
+    configuration_problems,
     fault_problem,
-    file_id_problem,
     repeated,
-    rule_order_problem,
 )
 from .formal import (
     ALL_REQUIREMENTS, FILTER_LEVELS, Capabilities, FirewallProfile, RequirementKind,
@@ -52,8 +50,7 @@ from .formal import (
 from .optimizer import ProcedureVariant
 from .testbench import (
     Host, TrafficSpec, account_problem, attempt_coverage_problem, endpoint_problems,
-    filter_level_problem, host_address_problem, host_name_problem, monitored_file_problem,
-    segment_problem,
+    filter_level_problem, monitored_file_problem, topology_problems,
 )
 
 _SECTIONS = (
@@ -394,17 +391,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 say(f"{claim} claimed but {problem}")
 
     # The bench and the product own these rules and their texts.
-    for problem in (
-        segment_problem("external", scenario.external),
-        segment_problem("internal", scenario.internal),
-        host_address_problem(hosts),
-        host_name_problem(hosts),
-        rule_order_problem(scenario.rules),
-        account_id_problem(scenario.accounts),
-        file_id_problem(scenario.files),
-    ):
-        if problem:
-            say(problem)
+    problems += topology_problems(scenario.external, scenario.internal)
+    problems += configuration_problems(scenario.rules, scenario.accounts, scenario.files)
 
     external = {h.name for h in scenario.external}
     internal = {h.name for h in scenario.internal}

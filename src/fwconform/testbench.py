@@ -74,6 +74,8 @@ class TrafficSpec:
 class Testbench:
     """Mutable bench state: hosts, loaded rules and accounts, product, inside tap, probe RNG."""
 
+    __test__ = False  # not a pytest case, despite the name
+
     def __init__(
         self,
         external: Sequence[Host],
@@ -93,14 +95,10 @@ class Testbench:
         self.rules = tuple(sorted(rules, key=lambda r: r.order))
         self.accounts = tuple(accounts)
         self.fw = Firewall(self.rules, self.accounts, files, auth_mode, management, faults)
-        hosts = [*external, *internal]
         outside = {h.address.net for h in external}
         inside = {h.address.net for h in internal}
         refuse(
-            segment_problem("external", external),
-            segment_problem("internal", internal),
-            host_address_problem(hosts),
-            host_name_problem(hosts),
+            *topology_problems(external, internal),
             *endpoint_problems("rule", self.rules, outside, inside),
         )
         self.external = tuple(external)
@@ -122,19 +120,16 @@ class Testbench:
             raise Refused(f"no host named {name!r} on the bench") from None
 
 
-def segment_problem(name: str, hosts: Collection[Host]) -> str | None:
-    """Why the `name` segment cannot send or receive anything, or None."""
-    return None if hosts else f"no {name} hosts"
-
-
-def host_address_problem(hosts: Iterable[Host]) -> str | None:
-    """Why a network address would not say which host it means, or None."""
-    return duplicate_problem("host address(es)", (h.address.net for h in hosts))
-
-
-def host_name_problem(hosts: Iterable[Host]) -> str | None:
-    """Why a host name would not say which host it means, or None."""
-    return duplicate_problem("host name(s)", (h.name for h in hosts))
+def topology_problems(external: Sequence[Host], internal: Sequence[Host]) -> list[str]:
+    """Why a segment has no hosts, or two hosts share a network address or a name."""
+    hosts = [*external, *internal]
+    found = (
+        None if external else "no external hosts",
+        None if internal else "no internal hosts",
+        duplicate_problem("host address(es)", (h.address.net for h in hosts)),
+        duplicate_problem("host name(s)", (h.name for h in hosts)),
+    )
+    return [problem for problem in found if problem]
 
 
 def endpoint_problems(

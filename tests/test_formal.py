@@ -7,7 +7,6 @@ from fwconform.errors import Refused
 from fwconform.firewall import AuthMode
 from fwconform.formal import (
     ALL_REQUIREMENTS,
-    Campaign,
     CampaignVerdict,
     Capabilities,
     CriterionResult,
@@ -116,8 +115,8 @@ def test_outcome_bit_must_agree_with_criteria():
 
 
 def test_campaign_rejects_claims_outside_the_catalog():
-    with pytest.raises(ValueError):
-        Campaign(FirewallProfile("s", ("r1", "r99")))
+    with pytest.raises(ValueError, match="^claims outside the catalog: r99$"):
+        FirewallProfile("s", ("r1", "r99"))
 
 
 def test_aggregate_requires_alignment():

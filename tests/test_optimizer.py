@@ -4,7 +4,7 @@ import pytest
 
 from _oracles import oracle_plan
 from _support import BRUTE_FORCE_LIMIT, TooLarge, brute_force_plan
-from fwconform.errors import Infeasible
+from fwconform.errors import FwconformError, Infeasible
 from fwconform.optimizer import ProcedureVariant, optimize_plan
 
 
@@ -45,8 +45,9 @@ def test_infeasible_budget_names_the_floor():
 
 
 def test_negative_budget_is_a_usage_error():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^budget must be nonnegative: -1$") as caught:
         optimize_plan(TWO_REQS, budget=-1)
+    assert isinstance(caught.value, FwconformError)
 
 
 def test_negative_time_or_cost_is_rejected_at_construction():
@@ -57,12 +58,14 @@ def test_negative_time_or_cost_is_rejected_at_construction():
 
 
 def test_catalog_validation_errors():
-    with pytest.raises(ValueError, match="no procedure variants"):
-        optimize_plan({"r1": []})
-    with pytest.raises(ValueError, match="duplicate variant ids"):
-        optimize_plan({"r1": [v("r1", "a", 1, 1), v("r1", "a", 2, 2)]})
-    with pytest.raises(ValueError, match="naming another requirement"):
-        optimize_plan({"r1": [v("r2", "a", 1, 1)]})
+    for catalog, text in (
+        ({"r1": []}, "requirement r1 has no procedure variants"),
+        ({"r1": [v("r1", "a", 1, 1), v("r1", "a", 2, 2)]}, "duplicate variant ids"),
+        ({"r1": [v("r2", "a", 1, 1)]}, "naming another requirement"),
+    ):
+        with pytest.raises(ValueError, match=text) as caught:
+            optimize_plan(catalog)
+        assert isinstance(caught.value, FwconformError)
 
 
 def test_time_ties_break_toward_lower_cost_then_variant_id():

@@ -436,8 +436,10 @@ def test_parse_and_run_leave_the_garbage_collector_as_they_found_it(scenario, en
 
 
 def test_export_rejects_unknown_formats(report):
-    with pytest.raises(ValueError):
-        export_report(report, fmt="yaml")
+    for fmt in ("yaml", "pdf"):
+        with pytest.raises(ValueError, match=f"^unknown report format '{fmt}'$") as caught:
+            export_report(report, fmt)
+        assert isinstance(caught.value, FwconformError)
 
 
 def test_human_summary_of_a_clean_run(report):

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from fwconform.errors import ScenarioParseError, ScenarioValidationError
-from fwconform.firewall import AuthMode, FaultName, FilterRule, RuleAction
+from fwconform.errors import Refused, ScenarioParseError, ScenarioValidationError
+from fwconform.firewall import (
+    AdminAccount, Address, AuthMode, FaultName, FileArtifact, FilterRule, RuleAction,
+)
 from fwconform.formal import Capabilities
 from fwconform.scenario import (
     check_scenario,
@@ -13,7 +15,7 @@ from fwconform.scenario import (
     resolve_rules,
     validate_scenario,
 )
-from fwconform.testbench import TrafficSpec
+from fwconform.testbench import Host, Testbench, TrafficSpec
 
 REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference.scn"
 
@@ -336,6 +338,33 @@ def test_validation_messages_are_pinned():
             "r3 claimed but no files to monitor",
         ]
     )
+
+
+def test_gathered_problems_keep_their_order():
+    # `validate` lists the bench's topology problems, then the product's
+    # configuration problems, then the endpoints; a bench refuses with the
+    # product's problem before its own.
+    twins = (Host("t", Address("203.0.113.20")), Host("t", Address("203.0.113.21")))
+    sc = replace(
+        parse_scenario(MINIMAL),
+        external=(),
+        internal=twins,
+        rules=(FilterRule(RuleAction.ALLOW, "t", "t"), FilterRule(RuleAction.DENY, "t", "t")),
+        accounts=(AdminAccount("alice", "a"), AdminAccount("alice", "b")),
+        files=(FileArtifact("a", b"x"), FileArtifact("a", b"y")),
+    )
+    assert validate_scenario(sc) == [
+        "no external hosts",
+        "duplicate host name(s): t",
+        "duplicate rule order(s): 0",
+        "duplicate account identifier(s): alice",
+        "duplicate file id(s): a",
+        "rule 1: source 't' is not an external host",
+        "rule 2: source 't' is not an external host",
+    ]
+    with pytest.raises(Refused) as caught:
+        Testbench((), twins, rules=sc.rules)
+    assert str(caught.value) == "duplicate rule order(s): 0"
 
 
 def test_validation_checks_rule_and_traffic_direction():

@@ -17,10 +17,7 @@ from fwconform.firewall import (
     Mutation,
     Packet,
     RuleAction,
-    account_id_problem,
     fault_problem,
-    file_id_problem,
-    rule_order_problem,
 )
 from fwconform.formal import (
     ALL_REQUIREMENTS,
@@ -44,7 +41,6 @@ from fwconform.testbench import (
     endpoint_problems,
     filter_level_problem,
     generate_packets,
-    host_name_problem,
     monitored_file_problem,
     run_auth_procedure,
     run_filter_procedure,
@@ -426,10 +422,10 @@ def test_procedure_errors_carry_the_owner_text():
             attempt_coverage_problem([("x", "y")], ACCOUNTS),
         ),
         (lambda: run_integrity_procedure(bench()), monitored_file_problem(())),
-        (lambda: bench(internal=twin), host_name_problem(EXT + twin)),
-        (lambda: bench(rules=orders), rule_order_problem(orders)),
-        (lambda: bench(accounts=accounts), account_id_problem(accounts)),
-        (lambda: bench(files=files), file_id_problem(files)),
+        (lambda: bench(internal=twin), "duplicate host name(s): ext1"),
+        (lambda: bench(rules=orders), "duplicate rule order(s): 0"),
+        (lambda: bench(accounts=accounts), "duplicate account identifier(s): alice"),
+        (lambda: bench(files=files), "duplicate file id(s): a"),
         (
             lambda: develop_procedure(no_auth, ALL_REQUIREMENTS["r2"]),
             f"r2: {capability_problem(RequirementKind.ADMIN_AUTH, no_auth.capabilities)}",
