@@ -1,0 +1,4 @@
+from .cli import entry
+
+if __name__ == "__main__":
+    entry()

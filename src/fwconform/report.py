@@ -21,13 +21,11 @@ schema's own knowledge is data: the field renames (`_RENAMES`), the
 evidence tags (`_EVIDENCE_TAGS`) and the procedure record layout, which
 `_codec` flattens into one object.
 
-`Address` values are memoized, because a report repeats a few hundred
-hosts' addresses tens of thousands of times.  Within one public call
-(`export_report`, `parse_report`, `report_to_dict`, `report_from_dict`)
-each distinct address is written once per nesting depth, and each
-(net, link) pair is built once after its members pass the same type
-checks as any other value's.  The memos are emptied when the call
-ends, whether it returns or raises.
+`Address` values are cached, because a report repeats a few hundred
+hosts' addresses tens of thousands of times.  The codec keeps each
+distinct address's text, and the `Address` of each (net, link) pair
+whose members pass the same type checks as any other value's, in two
+bounded `lru_cache`s that live as long as `_codec`'s own cache.
 """
 
 from __future__ import annotations
@@ -38,14 +36,14 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from types import UnionType
 from typing import Callable, NamedTuple, Union, get_args, get_origin, get_type_hints
 
-from .errors import Refused, ReportFormatError
+from .errors import Refused, ReportFormatError, refuse
 from .firewall import Address
 from .formal import CampaignVerdict, ProcedureOutcome, RequirementKind, TestProcedure
 from .optimizer import CampaignPlan
@@ -91,32 +89,16 @@ _RENAMES = {"requirement_id": "requirement", "variant_id": "variant"}
 _EVIDENCE_TAGS = {"filter": FilterEvidence, "auth": AuthEvidence, "integrity": IntegrityEvidence}
 _JSON_NAMES = {str: "string", int: "integer", list: "array", dict: "object", type(None): "null"}
 _SURROGATE_PAIR = re.compile(r"[\ud800-\udbff][\udc00-\udfff]")
+# Distinct addresses each `Address` cache keeps.  The largest benchmark report
+# holds 203 among 60,042 occurrences, so every report fits many times over,
+# while a stream of reports with ever new hosts holds at most this many.
+_ADDRESSES = 4096
 
 
 class _Codec(NamedTuple):
     write: Callable  # the value's JSON text, opened at the codec's depth
     decode: Callable | None  # None: the JSON value is the value
     json: frozenset  # the JSON types, as Python types, that a value may arrive as
-
-
-# The memos of the codecs that keep one.  `_call_memos` empties them all when
-# the public call that filled them ends, so none outlives one export or parse.
-_MEMOS: list[dict] = []
-
-
-def _memo() -> dict:
-    memo: dict = {}
-    _MEMOS.append(memo)
-    return memo
-
-
-@contextmanager
-def _call_memos():
-    try:
-        yield
-    finally:
-        for memo in _MEMOS:
-            memo.clear()
 
 
 def _show(value) -> str:
@@ -189,28 +171,8 @@ def _codec(tp, depth: int) -> _Codec:
 
         return _Codec(nested.write, decode_record, frozenset({dict}))
     if tp is Address:
-        # A report repeats a few hundred hosts' addresses tens of thousands of
-        # times: each distinct one is written, and built from members already
-        # type-checked, once per call.
-        texts, built = _memo(), _memo()
-
-        def build(net, link):
-            try:
-                return built[net, link]
-            except KeyError:
-                address = built[net, link] = Address(net, link)
-                return address
-
-        plain = _object_codec(tp, depth, _fields(tp, ""), [], build)
-
-        def write_address(address):
-            try:
-                return texts[address]
-            except KeyError:
-                text = texts[address] = plain.write(address)
-                return text
-
-        return plain._replace(write=write_address)
+        plain = _object_codec(tp, depth, _fields(tp, ""), [], lru_cache(_ADDRESSES)(Address))
+        return plain._replace(write=lru_cache(_ADDRESSES)(plain.write))
     if tp == Evidence:
         by_type = {
             cls: _object_codec(cls, depth, _fields(cls, ""), [("type", tag)])
@@ -314,16 +276,14 @@ def _fixed_decoder(build: Callable, keys, items: list[_Codec]) -> Callable:
     return decode
 
 
-@_call_memos()
 def report_to_dict(report: Report) -> dict:
     """The report's JSON form, read back from its machine text."""
     return json.loads(_codec(Report, 0).write(report))
 
 
-@_call_memos()
 def report_from_dict(data: dict) -> Report:
-    if data.get("schema") != SCHEMA:
-        raise ValueError(f"unknown report schema {data.get('schema')!r}")
+    schema = data.get("schema")
+    refuse(schema != SCHEMA and f"unknown report schema {schema!r}")
     report = _codec(Report, 0).decode(data)
     rows = {rid: (claimed, upheld) for rid, claimed, upheld in report.campaign.pairs}
     for rec in report.procedures:
@@ -334,7 +294,6 @@ def report_from_dict(data: dict) -> Report:
 
 # -- rendering -----------------------------------------------------------------
 
-@_call_memos()
 def export_report(report: Report, fmt: str = "machine") -> str:
     if fmt == "machine":
         return _codec(Report, 0).write(report) + "\n"
@@ -361,7 +320,6 @@ def paused_collector():
 
 
 @paused_collector()
-@_call_memos()
 def parse_report(text: str) -> Report:
     """Inverse of the machine format; raises ReportFormatError on anything off."""
     try:

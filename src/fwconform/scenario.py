@@ -50,7 +50,7 @@ from .formal import (
 from .optimizer import ProcedureVariant
 from .testbench import (
     Host, TrafficSpec, account_problem, attempt_coverage_problem, endpoint_problems,
-    filter_level_problem, monitored_file_problem, topology_problems,
+    filter_level_problem, monitored_file_problem, mutation_problems, topology_problems,
 )
 
 _SECTIONS = (
@@ -407,15 +407,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             say(problem)
 
     contents = {f.file_id: f.content for f in scenario.files}
-    for i, m in enumerate(scenario.mutations):
-        where = f"mutation {i + 1}"
-        if m.file_id not in contents:
-            say(f"{where}: unknown file {m.file_id!r}")
-            continue
-        try:
-            contents[m.file_id] = m.apply(contents[m.file_id])
-        except ValueError as exc:
-            say(f"{where}: {exc}")
+    problems += mutation_problems(contents, scenario.mutations)
 
     pairs = [(v.requirement_id, v.variant_id) for v in scenario.variants]
     dup = sorted(f"{r}/{v}" for r, v in repeated(pairs))

@@ -17,7 +17,7 @@ import random
 import re
 from dataclasses import dataclass
 from itertools import product
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import Refused, refuse
 from .firewall import (
@@ -137,8 +137,9 @@ def endpoint_problems(
 ) -> list[str]:
     """Why each record's source is not outside or its destination not inside, if so.
 
-    `validate_scenario` names the hosts on each side, the bench gives their
-    network addresses; records are numbered from 1 in the order given.
+    Rules name their endpoints by network address on the bench and by host
+    name in a scenario, packets by host name in both; records are numbered
+    from 1 in the order given.
     """
     problems = []
     for i, record in enumerate(records, start=1):
@@ -182,7 +183,8 @@ def generate_packets(
 
     Without an explicit traffic list this is one packet per
     outside-to-inside host pair, in topology order, with default field
-    values; an explicit list replaces that entirely.  Each packet is
+    values; an explicit list replaces that entirely, and is refused unless
+    each packet goes from an outside host to an inside one.  Each packet is
     offered to the product and lands on the inside tap when it comes
     through; the packets sent are returned.  The medium itself never
     loses, reorders or duplicates anything.
@@ -192,6 +194,10 @@ def generate_packets(
             TrafficSpec(s.name, d.name)
             for s, d in product(bench.external, bench.internal)
         ]
+    else:
+        outside = {h.name for h in bench.external}
+        inside = {h.name for h in bench.internal}
+        refuse(*endpoint_problems("packet", traffic, outside, inside))
     packets = []
     for spec in traffic:
         packet = _build_packet(bench, spec)
@@ -445,18 +451,34 @@ def monitored_file_problem(files: Collection[object]) -> str | None:
     return None if files else "no files to monitor"
 
 
+def mutation_problems(contents: Mapping[str, bytes], mutations: Sequence[Mutation]) -> list[str]:
+    """Why each mutation, replayed in order on a copy of `contents`, cannot apply."""
+    contents = dict(contents)
+    problems = []
+    for i, m in enumerate(mutations, start=1):
+        if m.file_id not in contents:
+            problems.append(f"mutation {i}: unknown file {m.file_id!r}")
+            continue
+        try:
+            contents[m.file_id] = m.apply(contents[m.file_id])
+        except ValueError as exc:
+            problems.append(f"mutation {i}: {exc}")
+    return problems
+
+
 def run_integrity_procedure(
     bench: Testbench, mutations: Sequence[Mutation] = ()
 ) -> IntegrityEvidence:
     """Baseline every monitored file, edit some, trigger the check.
 
-    Ground truth is whether the bytes actually changed, so a mutation that
-    happens to restore the original content counts as unmodified.
+    Every mutation is checked before any file is touched.  Ground truth
+    is whether the bytes actually changed, so a mutation that happens to
+    restore the original content counts as unmodified.
     """
     fw = bench.fw
-    refuse(monitored_file_problem(fw.files))
-    fw.activate_integrity()
     before = fw.files
+    refuse(monitored_file_problem(before), *mutation_problems(before, mutations))
+    fw.activate_integrity()
     for mutation in mutations:
         fw.modify_file(mutation.file_id, mutation)
     mark = len(fw.export_journal())

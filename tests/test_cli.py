@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -290,3 +291,13 @@ def test_console_entry_point_is_wired(tmp_path, monkeypatch):
         with pytest.raises(SystemExit) as exited:
             entry()
         assert exited.value.code == code
+
+
+def test_python_dash_m_runs_the_command_line():
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    ran = subprocess.run(
+        [sys.executable, "-m", "fwconform", "validate", "scenarios/reference.scn"],
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True,
+    )
+    assert ran.returncode == 0, ran.stderr
+    assert "scenario ok: reference-fw" in ran.stdout

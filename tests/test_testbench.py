@@ -407,6 +407,20 @@ def test_procedure_errors_carry_the_owner_text():
     inside_out = [deny("203.0.113.20", "198.51.100.10")]
     no_auth = FirewallProfile("s", ("r2",), Capabilities(auth_mode=None))
     inverted = Fault.parse("invert_rule:1")
+    scenario = load_scenario(str(REFERENCE))
+    reference = build_testbench(
+        scenario.external,
+        scenario.internal,
+        rules=resolve_rules(scenario),
+        files=scenario.files,
+        faults=[Fault.parse("invert_rule:0")],
+    )
+    files_before = reference.fw.files
+    half_valid = [
+        Mutation("screen.conf", "append", data=b"x"),
+        Mutation("screen.conf", "flip", offset=99),
+    ]
+    inside_out_traffic = [TrafficSpec("int1", "ext1"), TrafficSpec("int2", "ext2")]
     cases = [
         (
             lambda: run_filter_procedure(build_testbench(bare, INT, rules=rules), FilterLevel.LINK),
@@ -457,6 +471,14 @@ def test_procedure_errors_carry_the_owner_text():
             lambda: bench(rules=inside_out),
             endpoint_problems("rule", inside_out, {"198.51.100.10"}, {"203.0.113.20"})[0],
         ),
+        (
+            lambda: run_integrity_procedure(reference, half_valid),
+            "mutation 2: flip offset 99 beyond end of screen.conf (20 bytes)",
+        ),
+        (
+            lambda: run_filter_procedure(reference, FilterLevel.NETWORK, inside_out_traffic),
+            "packet 1: source 'int1' is not an external host",
+        ),
     ]
     for run, text in cases:
         assert text
@@ -465,3 +487,4 @@ def test_procedure_errors_carry_the_owner_text():
         assert str(caught.value) == text
         assert isinstance(caught.value, ValueError)
         assert isinstance(caught.value, FwconformError)
+    assert reference.fw.files == files_before  # refused before any edit
