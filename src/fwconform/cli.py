@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .campaign import run_campaign
-from .errors import FwconformError, ScenarioError, ScenarioValidationError
+from .errors import FwconformError, Refused, ScenarioError, ScenarioValidationError
 from .firewall import Fault
 from .optimizer import optimize_plan
 from .report import export_report, parse_report, render_plan
@@ -87,7 +87,7 @@ def _cmd_run(args) -> int:
         scenario = replace(scenario, seed=args.seed)
     try:
         faults = [Fault.parse(spec) for spec in args.inject] if args.inject else None
-    except ValueError as exc:
+    except Refused as exc:
         raise ScenarioValidationError([str(exc)]) from None
     report = run_campaign(scenario, faults)
     rendered = export_report(report, args.format)

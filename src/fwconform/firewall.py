@@ -74,16 +74,16 @@ class Address:
 
     def __post_init__(self):
         if not (isinstance(self.net, str) and _NET_RE.fullmatch(self.net)):
-            raise ValueError(f"not a canonical dotted-quad network address: {self.net!r}")
+            raise Refused(f"not a canonical dotted-quad network address: {self.net!r}")
         if self.link is not None:
             object.__setattr__(self, "link", link_address(self.link))
 
 
 def link_address(text: str) -> str:
-    """A colon-hex MAC address in lower case; ValueError when malformed."""
+    """A colon-hex MAC address in lower case; `Refused` when malformed."""
     low = text.lower()
     if not _MAC_RE.fullmatch(low):
-        raise ValueError(f"bad link-layer address: {text!r}")
+        raise Refused(f"bad link-layer address: {text!r}")
     return low
 
 
@@ -113,7 +113,7 @@ class Packet:
 
     def __post_init__(self):
         if not (0 <= self.proto <= 255 and 0 <= self.ttl <= 255):
-            raise ValueError(packet_field_problem(self.proto, self.ttl))
+            raise Refused(packet_field_problem(self.proto, self.ttl))
 
 
 def packet_field_problem(proto: int | None, ttl: int | None) -> str | None:
@@ -149,9 +149,9 @@ class FilterRule:
             None, self.ttl_max
         )
         if problem:
-            raise ValueError(problem)
+            raise Refused(problem)
         if None not in (self.ttl_min, self.ttl_max) and self.ttl_max < self.ttl_min:
-            raise ValueError(f"empty ttl range {self.ttl_min}-{self.ttl_max}")
+            raise Refused(f"empty ttl range {self.ttl_min}-{self.ttl_max}")
 
     @property
     def constrains_fields(self) -> bool:
@@ -204,16 +204,16 @@ class Mutation:
 
     def __post_init__(self):
         if self.kind not in ("none", "flip", "append", "replace"):
-            raise ValueError(f"unknown mutation kind {self.kind!r}")
+            raise Refused(f"unknown mutation kind {self.kind!r}")
 
     def apply(self, content: bytes) -> bytes:
         if self.kind == "none":
             return content
         if self.kind == "flip":
             if self.offset < 0:
-                raise ValueError(f"flip offset {self.offset} is negative")
+                raise Refused(f"flip offset {self.offset} is negative")
             if self.offset >= len(content):
-                raise ValueError(
+                raise Refused(
                     f"flip offset {self.offset} beyond end of {self.file_id} ({len(content)} bytes)"
                 )
             edited = bytearray(content)
@@ -248,8 +248,8 @@ _FAULT_PARAMS: Mapping[FaultName, str | tuple[str, ...]] = {
 class Fault:
     """One deliberate compliance defect, e.g. ``Fault.parse("invert_rule:0")``.
 
-    A bad parameter is refused when the fault is built; whether the
-    product has the rule or file it names is `fault_problem`'s question.
+    A bad name or parameter is refused when the fault is built; whether
+    the product has the rule or file it names is `fault_problem`'s question.
     """
 
     name: FaultName
@@ -257,30 +257,28 @@ class Fault:
 
     def __post_init__(self):
         if not isinstance(self.name, FaultName):
-            raise ValueError(f"unknown fault: {self.name!r}")
+            raise Refused(f"unknown fault: {self.name!r}")
         name, param = self.name.value, self.param
         kind = _FAULT_PARAMS.get(self.name)
         choices = kind if isinstance(kind, tuple) else None
         if choices is not None:
             kind = f"one of {', '.join(choices)}"
         if kind is None and param is not None:
-            raise ValueError(f"fault {name} takes no parameter")
+            raise Refused(f"fault {name} takes no parameter")
         if kind is not None and param in (None, ""):
-            raise ValueError(f"fault {name} needs a parameter ({kind})")
+            raise Refused(f"fault {name} needs a parameter ({kind})")
         if self.name is FaultName.INVERT_RULE and type(param) is not int:
-            raise ValueError(f"invert_rule parameter must be an integer: {param!r}")
+            raise Refused(f"invert_rule parameter must be an integer: {param!r}")
         if self.name is FaultName.BLIND_INTEGRITY and not isinstance(param, str):
-            raise ValueError(f"blind_integrity parameter must be a string: {param!r}")
+            raise Refused(f"blind_integrity parameter must be a string: {param!r}")
         if choices is not None and param not in choices:
-            raise ValueError(f"{name} parameter must be {kind}: {param!r}")
+            raise Refused(f"{name} parameter must be {kind}: {param!r}")
 
     @classmethod
     def parse(cls, text: str) -> "Fault":
         head, sep, raw = text.partition(":")
-        try:
-            name = FaultName(head)
-        except ValueError:
-            raise ValueError(f"unknown fault: {head!r}") from None
+        # An unknown name goes through as text, for the constructor to refuse.
+        name = next((n for n in FaultName if n.value == head), head)
         param = raw if sep else None
         if name is FaultName.INVERT_RULE:
             with suppress(ValueError):  # plain decimal only, as spec_text writes it
@@ -323,14 +321,9 @@ def fault_problem(
     return f"fault {fault.spec_text()}: {problem}"
 
 
-def repeated(items: Iterable[Hashable]) -> list:
-    """The items that occur more than once, each listed once."""
-    return [item for item, count in Counter(items).items() if count > 1]
-
-
 def duplicate_problem(noun: str, keys: Iterable[Hashable]) -> str | None:
     """``duplicate <noun>: …`` naming each key given more than once, or None."""
-    dup = sorted(repeated(keys))
+    dup = sorted(key for key, count in Counter(keys).items() if count > 1)
     return f"duplicate {noun}: {', '.join(map(str, dup))}" if dup else None
 
 
@@ -523,8 +516,9 @@ class Firewall:
         """Record the per-file baseline digests the later check compares against."""
         self._baselines = {fid: digest(content) for fid, content in self._files.items()}
 
-    def modify_file(self, file_id: str, mutation: Mutation) -> None:
-        """Apply one byte edit; the baseline digest is left untouched."""
+    def modify_file(self, mutation: Mutation) -> None:
+        """Apply one byte edit to the file it names; the baseline digest is left untouched."""
+        file_id = mutation.file_id
         if file_id not in self._files:
             raise Refused(f"no such monitored file: {file_id}")
         self._files[file_id] = mutation.apply(self._files[file_id])

@@ -109,20 +109,31 @@ class Capabilities:
     integrity_trigger: bool = True
 
 
+def scope_problems(claims: Sequence[str], scope: Sequence[str]) -> list[str]:
+    """Why `claims` cannot be tested against the requirement list `scope`, in validate's words."""
+    named = (
+        ("unknown requirement id(s) claimed", [c for c in claims if c not in ALL_REQUIREMENTS]),
+        ("unknown requirement id(s) listed", [r for r in scope if r not in ALL_REQUIREMENTS]),
+        ("claim(s) outside the requirement list", [c for c in claims if c not in scope]),
+    )
+    found = (
+        len(set(claims)) != len(claims) and "duplicate claim ids",
+        len(set(scope)) != len(scope) and "duplicate requirement ids listed",
+        *(ids and f"{what}: {', '.join(ids)}" for what, ids in named),
+    )
+    return [problem for problem in found if problem]
+
+
 @dataclass(frozen=True)
 class FirewallProfile:
-    """A vendor's declaration: which catalog requirements the product claims."""
+    """A vendor's declaration: which catalog requirements the product claims, each once."""
 
     name: str
     claims: tuple[str, ...]
     capabilities: Capabilities = Capabilities()
 
     def __post_init__(self):
-        unknown = [c for c in self.claims if c not in ALL_REQUIREMENTS]
-        refuse(
-            len(set(self.claims)) != len(self.claims) and "claimed requirement ids must be unique",
-            unknown and f"claims outside the catalog: {', '.join(unknown)}",
-        )
+        refuse(*scope_problems(self.claims, self.claims))
 
     def develop_all(self) -> dict[str, TestProcedure]:
         """The one procedure per claimed requirement, keyed by its id, in claim order."""
@@ -208,20 +219,18 @@ def develop_procedure(profile: FirewallProfile, requirement: Requirement) -> Tes
                 " the clear"
             ),
         )
-    if requirement.kind is RequirementKind.INTEGRITY_CONTROL:
-        return TestProcedure(
-            id=proc_id,
-            requirement_id=requirement.id,
-            objective="show that the integrity monitor flags exactly the edited files",
-            steps=(
-                "record baseline digests for every monitored file",
-                "edit a chosen subset of the files",
-                "trigger the integrity check",
-                "collect the per-file verdicts and alarm journal",
-            ),
-            expected="a file is flagged if and only if it was edited",
-        )
-    raise Refused(f"no procedure template for kind {requirement.kind}")
+    return TestProcedure(  # the one kind left: integrity control
+        id=proc_id,
+        requirement_id=requirement.id,
+        objective="show that the integrity monitor flags exactly the edited files",
+        steps=(
+            "record baseline digests for every monitored file",
+            "edit a chosen subset of the files",
+            "trigger the integrity check",
+            "collect the per-file verdicts and alarm journal",
+        ),
+        expected="a file is flagged if and only if it was edited",
+    )
 
 
 def claim_bit(profile: FirewallProfile, requirement_id: str) -> int:
@@ -251,7 +260,7 @@ class ProcedureOutcome:
 
     def __post_init__(self):
         if self.criteria and self.passed != int(all(c.bit for c in self.criteria)):
-            raise ValueError("outcome bit disagrees with its criteria")
+            raise Refused("outcome bit disagrees with its criteria")
 
     @classmethod
     def from_criteria(cls, criteria: Sequence[CriterionResult]) -> "ProcedureOutcome":
@@ -277,7 +286,7 @@ class CampaignVerdict:
     def __post_init__(self):
         bits = [bit for _, claimed, upheld in self.pairs for bit in (claimed, upheld)]
         if set(bits) - {0, 1} or self.n != len(self.pairs) or self.conform != all(bits):
-            raise ValueError("bits must be 0 or 1, n the row count, conform 1 iff every bit is 1")
+            raise Refused("bits must be 0 or 1, n the row count, conform 1 iff every bit is 1")
 
 
 def aggregate_verdict(
@@ -286,23 +295,24 @@ def aggregate_verdict(
 ) -> CampaignVerdict:
     """Fold per-procedure outcomes into the single campaign verdict.
 
-    `claims` lists every requirement in scope with its claim bit.  Every
+    `claims` lists every requirement in scope with its claim bit, and
+    `scope_problems` checks the claimed ids against the scope's.  Every
     claimed requirement needs an outcome, and outcomes may not name
-    requirements outside the scope; either mismatch points at a campaign
+    requirements outside the scope.  Each of these points at a campaign
     wiring bug, not a product defect, so it raises instead of failing
     the verdict.  Unclaimed requirements were never tested: their upheld
     bit is 0 unless an outcome was recorded anyway.
     """
     ids = [req.id for req, _ in claims]
-    claimed = {req.id for req, bit in claims if bit}
-    missing = claimed - set(outcomes)
+    claimed = [req.id for req, bit in claims if bit]
+    missing = set(claimed) - set(outcomes)
     extra = set(outcomes) - set(ids)
     parts = []
     if missing:
         parts.append(f"no outcome for {', '.join(sorted(missing))}")
     if extra:
         parts.append(f"outcome for requirement outside scope: {', '.join(sorted(extra))}")
-    refuse(len(set(ids)) != len(ids) and "duplicate requirement in the claims list", "; ".join(parts))
+    refuse(*scope_problems(claimed, ids), "; ".join(parts))
     pairs = []
     for req, bit in claims:
         outcome = outcomes.get(req.id)

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import Infeasible, refuse
+from .errors import Infeasible, Refused, refuse
+from .firewall import duplicate_problem
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ class ProcedureVariant:
 
     def __post_init__(self):
         if self.time < 0 or self.cost < 0:
-            raise ValueError(f"{self.requirement_id}/{self.variant_id}: negative time or cost")
+            raise Refused(f"{self.requirement_id}/{self.variant_id}: negative time or cost")
 
 
 @dataclass(frozen=True)
@@ -48,16 +49,20 @@ class CampaignPlan:
     budget: int | None
 
 
+def duplicate_variant_problem(variants: Iterable[ProcedureVariant]) -> str | None:
+    """``duplicate variant(s): r1/a`` naming each requirement/variant id given twice, or None."""
+    return duplicate_problem("variant(s)", (f"{v.requirement_id}/{v.variant_id}" for v in variants))
+
+
 def _validated_groups(
     catalog: Mapping[str, Sequence[ProcedureVariant]],
 ) -> list[tuple[ProcedureVariant, ...]]:
     groups = []
     for rid, variants in catalog.items():
-        names = [v.variant_id for v in variants]
         stray = [v.variant_id for v in variants if v.requirement_id != rid]
         refuse(
             not variants and f"requirement {rid} has no procedure variants",
-            len(set(names)) != len(names) and f"requirement {rid} has duplicate variant ids",
+            duplicate_variant_problem(variants),
             stray and f"variants filed under {rid} but naming another requirement: {stray}",
         )
         groups.append(tuple(variants))

@@ -14,7 +14,7 @@ array and `X | None` X or null.  `_codec` works out each type's writer
 and decoder once per type and nesting depth; the writer is the only
 encoder, and `report_to_dict` reads its text back.  Decoding checks
 every value against its hint, JSON type and array length, so a malformed
-report raises ValueError or TypeError instead of building a Report that
+report raises `ReportFormatError` instead of building a Report that
 cannot be rendered.  A string is written only if it reads back the same,
 so one holding a high surrogate just before a low one is refused.  The
 schema's own knowledge is data: the field renames (`_RENAMES`), the
@@ -118,7 +118,7 @@ def _write_str(value: str) -> str:
     """
     text = encode_basestring_ascii(value)
     if "\\ud" in text and _SURROGATE_PAIR.search(value):
-        raise ValueError(f"a surrogate pair would read back as one character: {_show(value)}")
+        raise Refused(f"a surrogate pair would read back as one character: {_show(value)}")
     return text
 
 
@@ -282,14 +282,19 @@ def report_to_dict(report: Report) -> dict:
 
 
 def report_from_dict(data: dict) -> Report:
-    schema = data.get("schema")
-    refuse(schema != SCHEMA and f"unknown report schema {schema!r}")
-    report = _codec(Report, 0).decode(data)
-    rows = {rid: (claimed, upheld) for rid, claimed, upheld in report.campaign.pairs}
-    for rec in report.procedures:
-        if rows.get(rec.procedure.requirement_id) != (rec.claim, rec.outcome.passed):
-            raise ValueError(f"{rec.procedure.id}: claim or passed bit differs from its pairs row")
-    return report
+    """The report a JSON object holds; raises ReportFormatError on anything off."""
+    try:
+        refuse(not isinstance(data, dict) and f"expected a JSON object, got {_show(data)}")
+        schema = data.get("schema")
+        refuse(schema != SCHEMA and f"unknown report schema {schema!r}")
+        report = _codec(Report, 0).decode(data)
+        rows = {rid: (claimed, upheld) for rid, claimed, upheld in report.campaign.pairs}
+        for rec in report.procedures:
+            if rows.get(rec.procedure.requirement_id) != (rec.claim, rec.outcome.passed):
+                raise Refused(f"{rec.procedure.id}: claim or passed bit differs from its pairs row")
+        return report
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise ReportFormatError(f"malformed report: {exc}") from None
 
 
 # -- rendering -----------------------------------------------------------------
@@ -324,13 +329,11 @@ def parse_report(text: str) -> Report:
     """Inverse of the machine format; raises ReportFormatError on anything off."""
     try:
         data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ReportFormatError(f"malformed report: expected a JSON object, got {_show(data)}")
-        return report_from_dict(data)
     except json.JSONDecodeError as exc:
         raise ReportFormatError(f"not valid JSON: {exc}") from None
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+    except RecursionError as exc:
         raise ReportFormatError(f"malformed report: {exc}") from None
+    return report_from_dict(data)
 
 
 def render_human(report: Report) -> str:

@@ -29,7 +29,7 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .errors import ScenarioParseError, ScenarioValidationError
+from .errors import Refused, ScenarioParseError, ScenarioValidationError
 from .firewall import (
     AdminAccount,
     Address,
@@ -41,16 +41,16 @@ from .firewall import (
     RuleAction,
     configuration_problems,
     fault_problem,
-    repeated,
 )
 from .formal import (
     ALL_REQUIREMENTS, FILTER_LEVELS, Capabilities, FirewallProfile, RequirementKind,
-    capability_problem,
+    capability_problem, scope_problems,
 )
-from .optimizer import ProcedureVariant
+from .optimizer import ProcedureVariant, duplicate_variant_problem
 from .testbench import (
     Host, TrafficSpec, account_problem, attempt_coverage_problem, endpoint_problems,
     filter_level_problem, monitored_file_problem, mutation_problems, topology_problems,
+    traffic_problems,
 )
 
 _SECTIONS = (
@@ -345,33 +345,22 @@ def resolve_rules(scenario: Scenario) -> tuple[FilterRule, ...]:
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Whole-scenario consistency; returns every problem found, best first."""
     problems: list[str] = []
-    say = problems.append
 
-    if not scenario.name:
-        say("profile has no name")
-    if not scenario.claims:
-        say("profile claims no requirements")
-    if len(set(scenario.claims)) != len(scenario.claims):
-        say("duplicate claim ids")
-    if len(set(scenario.requirements)) != len(scenario.requirements):
-        say("duplicate requirement ids listed")
-    unknown = [c for c in scenario.claims if c not in ALL_REQUIREMENTS]
-    if unknown:
-        say(f"unknown requirement id(s) claimed: {', '.join(unknown)}")
-    unknown = [r for r in scenario.requirements if r not in ALL_REQUIREMENTS]
-    if unknown:
-        say(f"unknown requirement id(s) listed: {', '.join(unknown)}")
-    outside = [c for c in scenario.claims if c not in scenario.requirements]
-    if outside:
-        say(f"claim(s) outside the requirement list: {', '.join(outside)}")
+    def say(*found: str | bool | None) -> None:  # skips None, False and empty values
+        problems.extend(problem for problem in found if problem)
+
+    say(
+        not scenario.name and "profile has no name",
+        not scenario.claims and "profile claims no requirements",
+        *scope_problems(scenario.claims, scenario.requirements),
+    )
     for what in ("seed", "budget"):
         value = getattr(scenario, what)
-        if value is not None and value < 0:
-            say(f"{what} must be nonnegative: {value}")
+        say(value is not None and value < 0 and f"{what} must be nonnegative: {value}")
     if scenario.management:
         try:
             Address(scenario.management)
-        except ValueError as exc:
+        except Refused as exc:
             say(f"management: {exc}")
 
     # The enforcing layers own these preconditions and their texts.
@@ -387,40 +376,29 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             kind is RequirementKind.ADMIN_AUTH and account_problem(scenario.accounts),
             kind is RequirementKind.INTEGRITY_CONTROL and monitored_file_problem(scenario.files),
         ):
-            if problem:
-                say(f"{claim} claimed but {problem}")
+            say(problem and f"{claim} claimed but {problem}")
 
-    # The bench and the product own these rules and their texts.
+    # The bench, the product and the planner own these rules and their texts.
     problems += topology_problems(scenario.external, scenario.internal)
     problems += configuration_problems(scenario.rules, scenario.accounts, scenario.files)
 
     external = {h.name for h in scenario.external}
     internal = {h.name for h in scenario.internal}
-    for noun, records in (("rule", scenario.rules), ("packet", scenario.traffic or ())):
-        problems += endpoint_problems(noun, records, external, internal)
-    if scenario.traffic == ():
-        say("traffic list is empty")
-
+    problems += endpoint_problems("rule", scenario.rules, external, internal)
+    if scenario.traffic is not None:
+        problems += traffic_problems(scenario.traffic, scenario.external, scenario.internal)
     if scenario.attempts is not None and scenario.accounts:
-        problem = attempt_coverage_problem(scenario.attempts, scenario.accounts)
-        if problem:
-            say(problem)
+        say(attempt_coverage_problem(scenario.attempts, scenario.accounts))
 
     contents = {f.file_id: f.content for f in scenario.files}
     problems += mutation_problems(contents, scenario.mutations)
 
-    pairs = [(v.requirement_id, v.variant_id) for v in scenario.variants]
-    dup = sorted(f"{r}/{v}" for r, v in repeated(pairs))
-    if dup:
-        say(f"duplicate variant(s): {', '.join(dup)}")
-    stray = sorted({r for r, _ in pairs if r not in scenario.claims})
-    if stray:
-        say(f"variant(s) for unclaimed requirement(s): {', '.join(stray)}")
+    say(duplicate_variant_problem(scenario.variants))
+    stray = sorted({v.requirement_id for v in scenario.variants} - set(scenario.claims))
+    say(stray and f"variant(s) for unclaimed requirement(s): {', '.join(stray)}")
 
     for fault in scenario.faults:
-        problem = fault_problem(fault, len(scenario.rules), contents, caps.auth_mode)
-        if problem:
-            say(problem)
+        say(fault_problem(fault, len(scenario.rules), contents, caps.auth_mode))
     return problems
 
 

@@ -68,7 +68,7 @@ class TrafficSpec:
         normalize_links(self)
         problem = packet_field_problem(self.proto, self.ttl)
         if problem:
-            raise ValueError(problem)
+            raise Refused(problem)
 
 
 class Testbench:
@@ -150,6 +150,16 @@ def endpoint_problems(
     return problems
 
 
+def traffic_problems(
+    traffic: Sequence[TrafficSpec], external: Sequence[Host], internal: Sequence[Host]
+) -> list[str]:
+    """Why an explicit traffic list is empty, or which packets do not go outside to inside."""
+    if not traffic:
+        return ["traffic list is empty"]
+    names = ({h.name for h in external}, {h.name for h in internal})
+    return endpoint_problems("packet", traffic, *names)
+
+
 # The one bench constructor, under the name the campaign calls it by.
 build_testbench = Testbench
 
@@ -183,11 +193,11 @@ def generate_packets(
 
     Without an explicit traffic list this is one packet per
     outside-to-inside host pair, in topology order, with default field
-    values; an explicit list replaces that entirely, and is refused unless
-    each packet goes from an outside host to an inside one.  Each packet is
-    offered to the product and lands on the inside tap when it comes
-    through; the packets sent are returned.  The medium itself never
-    loses, reorders or duplicates anything.
+    values; an explicit list replaces that entirely, and is refused when it
+    is empty or a packet does not go from an outside host to an inside
+    one.  Each packet is offered to the product and lands on the inside
+    tap when it comes through; the packets sent are returned.  The medium
+    itself never loses, reorders or duplicates anything.
     """
     if traffic is None:
         traffic = [
@@ -195,9 +205,7 @@ def generate_packets(
             for s, d in product(bench.external, bench.internal)
         ]
     else:
-        outside = {h.name for h in bench.external}
-        inside = {h.name for h in bench.internal}
-        refuse(*endpoint_problems("packet", traffic, outside, inside))
+        refuse(*traffic_problems(traffic, bench.external, bench.internal))
     packets = []
     for spec in traffic:
         packet = _build_packet(bench, spec)
@@ -461,7 +469,7 @@ def mutation_problems(contents: Mapping[str, bytes], mutations: Sequence[Mutatio
             continue
         try:
             contents[m.file_id] = m.apply(contents[m.file_id])
-        except ValueError as exc:
+        except Refused as exc:
             problems.append(f"mutation {i}: {exc}")
     return problems
 
@@ -480,7 +488,7 @@ def run_integrity_procedure(
     refuse(monitored_file_problem(before), *mutation_problems(before, mutations))
     fw.activate_integrity()
     for mutation in mutations:
-        fw.modify_file(mutation.file_id, mutation)
+        fw.modify_file(mutation)
     mark = len(fw.export_journal())
     report = fw.run_integrity_check()
     journal = fw.export_journal()[mark:]

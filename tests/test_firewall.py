@@ -234,7 +234,7 @@ def test_integrity_check_needs_baselines():
 def test_integrity_flags_exactly_the_changed_files():
     fw = Firewall(files=files())
     fw.activate_integrity()
-    fw.modify_file("a.conf", Mutation("a.conf", "append", data=b"!"))
+    fw.modify_file(Mutation("a.conf", "append", data=b"!"))
     report = fw.run_integrity_check()
     assert report == {"a.conf": 1, "b.bin": 0}
     alarms = [e for e in fw.export_journal() if e.event is JournalEvent.INTEGRITY_ALARM]
@@ -245,7 +245,7 @@ def test_modify_file_keeps_baseline_digest():
     fw = Firewall(files=files())
     fw.activate_integrity()
     before = fw._baselines["a.conf"]
-    fw.modify_file("a.conf", Mutation("a.conf", "replace", data=b"other"))
+    fw.modify_file(Mutation("a.conf", "replace", data=b"other"))
     assert fw.files["a.conf"] == b"other"
     assert fw._baselines["a.conf"] == before == digest(b"alpha")
 
@@ -253,7 +253,7 @@ def test_modify_file_keeps_baseline_digest():
 def test_modify_unknown_file():
     fw = Firewall(files=files())
     with pytest.raises(Refused):
-        fw.modify_file("ghost", Mutation("ghost", "none"))
+        fw.modify_file(Mutation("ghost", "none"))
 
 
 def test_mutation_kinds():
@@ -515,8 +515,8 @@ def test_blind_integrity_hides_one_file():
     fw = Firewall(files=files())
     fw.activate_integrity()
     bad = inject_fault(fw, Fault(FaultName.BLIND_INTEGRITY, "a.conf"))
-    bad.modify_file("a.conf", Mutation("a.conf", "append", data=b"!"))
-    bad.modify_file("b.bin", Mutation("b.bin", "append", data=b"!"))
+    bad.modify_file(Mutation("a.conf", "append", data=b"!"))
+    bad.modify_file(Mutation("b.bin", "append", data=b"!"))
     assert bad.run_integrity_check() == {"a.conf": 0, "b.bin": 1}
 
 

@@ -115,7 +115,7 @@ def test_outcome_bit_must_agree_with_criteria():
 
 
 def test_campaign_rejects_claims_outside_the_catalog():
-    with pytest.raises(ValueError, match="^claims outside the catalog: r99$"):
+    with pytest.raises(Refused, match=r"^unknown requirement id\(s\) claimed: r99$"):
         FirewallProfile("s", ("r1", "r99"))
 
 

@@ -60,7 +60,7 @@ def test_negative_time_or_cost_is_rejected_at_construction():
 def test_catalog_validation_errors():
     for catalog, text in (
         ({"r1": []}, "requirement r1 has no procedure variants"),
-        ({"r1": [v("r1", "a", 1, 1), v("r1", "a", 2, 2)]}, "duplicate variant ids"),
+        ({"r1": [v("r1", "a", 1, 1), v("r1", "a", 2, 2)]}, r"^duplicate variant\(s\): r1/a$"),
         ({"r1": [v("r2", "a", 1, 1)]}, "naming another requirement"),
     ):
         with pytest.raises(ValueError, match=text) as caught:

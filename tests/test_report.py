@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import fwconform.report as report_module
 from fwconform.campaign import run_campaign
-from fwconform.errors import FwconformError, Refused, ReportFormatError
+from fwconform.errors import FwconformError, ReportFormatError
 from fwconform.firewall import Address, Fault
 from fwconform.report import (
     SCHEMA,
@@ -97,7 +97,7 @@ def test_parse_rejects_garbage():
         parse_report("{nope")
     with pytest.raises(ReportFormatError, match="unknown report schema"):
         parse_report('{"schema": "something-else/9"}')
-    with pytest.raises(Refused, match="^unknown report schema 'x'$"):
+    with pytest.raises(ReportFormatError, match="^malformed report: unknown report schema 'x'$"):
         report_from_dict({"schema": "x"})
     with pytest.raises(ReportFormatError, match="malformed report"):
         parse_report(json.dumps({"schema": SCHEMA, "metadata": {}}))
@@ -143,9 +143,11 @@ def test_dict_decoder_names_a_member_nested_past_the_recursion_limit(wrap, kind)
         nested = wrap(nested)
     data = json.loads(GOLDEN_TEXT)
     data["metadata"]["tool"] = nested
-    with pytest.raises(TypeError) as caught:
+    with pytest.raises(ReportFormatError) as caught:
         report_from_dict(data)
-    assert str(caught.value) == f"tool: expected string, got {kind} nested past the recursion limit"
+    assert str(caught.value) == (
+        f"malformed report: tool: expected string, got {kind} nested past the recursion limit"
+    )
 
 
 def _golden_with(*changes) -> str:
@@ -161,34 +163,69 @@ def _golden_with(*changes) -> str:
     return json.dumps(data)
 
 
-@pytest.mark.parametrize(
-    "path, value",
-    [
-        (("campaign", "pairs", 0), [1]),
-        (("campaign", "pairs", 0), ["r1", 1, 1, 1]),
-        (("campaign", "pairs", 0), ["r1", None, 1]),
-        (("campaign", "pairs"), "r1"),
-        (("campaign", "pairs"), {"r1": [1, 1]}),
-        (("campaign", "conform"), True),
-        (("metadata", "seed"), "42"),
-        (("metadata", "seed"), 42.0),
-        (("metadata", "tool"), 7),
-        (("metadata", "faults"), "leak_credentials"),
-        (("plan", "budget"), "8"),
-        (("procedures", 3, "evidence", "probes", 0), ["before", "203.0.113.20"]),
-        (("procedures", 3, "evidence", "probes", 0), "before"),
-        (("procedures", 0, "evidence", "packet_in", 0, "src"), ["198.51.100.10", None]),
-        (("procedures", 0, "evidence", "packet_in", 0, "payload"), 7),
-        (("procedures", 0, "evidence", "rules", 0, "proto"), "6"),
-        (("procedures", 0, "evidence", "type"), "firewall"),
-        (("procedures", 0, "evidence", "type"), ["filter"]),
-        (("procedures", 0, "steps"), None),
-        (("procedures", 0, "criteria", 0, "bit"), None),
-    ],
-)
+# A value of the wrong JSON type, array length or enum value at each path.
+WRONG_VALUES = [
+    (("campaign", "pairs", 0), [1]),
+    (("campaign", "pairs", 0), ["r1", 1, 1, 1]),
+    (("campaign", "pairs", 0), ["r1", None, 1]),
+    (("campaign", "pairs"), "r1"),
+    (("campaign", "pairs"), {"r1": [1, 1]}),
+    (("campaign", "conform"), True),
+    (("metadata", "seed"), "42"),
+    (("metadata", "seed"), 42.0),
+    (("metadata", "tool"), 7),
+    (("metadata", "faults"), "leak_credentials"),
+    (("plan", "budget"), "8"),
+    (("procedures", 3, "evidence", "probes", 0), ["before", "203.0.113.20"]),
+    (("procedures", 3, "evidence", "probes", 0), "before"),
+    (("procedures", 0, "evidence", "packet_in", 0, "src"), ["198.51.100.10", None]),
+    (("procedures", 0, "evidence", "packet_in", 0, "payload"), 7),
+    (("procedures", 0, "evidence", "rules", 0, "proto"), "6"),
+    (("procedures", 0, "evidence", "type"), "firewall"),
+    (("procedures", 0, "evidence", "type"), ["filter"]),
+    (("procedures", 0, "steps"), None),
+    (("procedures", 0, "criteria", 0, "bit"), None),
+    (("procedures", 0, "kind"), "bogus"),
+    (("procedures", 0, "evidence", "level"), "wide"),
+]
+
+
+@pytest.mark.parametrize("path, value", WRONG_VALUES)
 def test_parse_rejects_values_of_the_wrong_type_or_length(path, value):
     with pytest.raises(ReportFormatError, match="malformed report"):
         parse_report(_golden_with((path, value)))
+
+
+@pytest.mark.parametrize("path, value", WRONG_VALUES)
+def test_report_from_dict_refuses_as_parse_report_does(path, value):
+    text = _golden_with((path, value))
+    with pytest.raises(ReportFormatError) as parsed:
+        parse_report(text)
+    with pytest.raises(ReportFormatError) as decoded:
+        report_from_dict(json.loads(text))
+    assert str(decoded.value) == str(parsed.value)
+
+
+@pytest.mark.parametrize(
+    "data, problem",
+    [
+        ({"schema": SCHEMA, "metadata": {}}, "'campaign'"),
+        (["x"], 'expected a JSON object, got ["x"]'),
+        (
+            json.loads(_golden_with((("procedures", 0, "kind"), "bogus"))),
+            'not a RequirementKind value: "bogus"',
+        ),
+        (
+            json.loads(_golden_with((("procedures", 0, "evidence", "level"), "wide"))),
+            'not a FilterLevel value: "wide"',
+        ),
+    ],
+    ids=["missing-member", "not-an-object", "kind", "level"],
+)
+def test_the_dict_entry_names_the_problem(data, problem):
+    with pytest.raises(ReportFormatError) as caught:
+        report_from_dict(data)
+    assert str(caught.value) == f"malformed report: {problem}"
 
 
 @pytest.mark.parametrize(

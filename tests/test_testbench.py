@@ -23,11 +23,13 @@ from fwconform.formal import (
     ALL_REQUIREMENTS,
     Capabilities,
     FirewallProfile,
+    ProcedureOutcome,
     RequirementKind,
     aggregate_verdict,
     capability_problem,
     develop_procedure,
 )
+from fwconform.optimizer import ProcedureVariant, optimize_plan
 from fwconform import testbench
 from fwconform.scenario import load_scenario, resolve_rules
 from fwconform.testbench import (
@@ -47,7 +49,7 @@ from fwconform.testbench import (
     run_integrity_procedure,
     scan_for_plaintext_credentials,
 )
-from fwconform.verdict import evaluate_filter_criteria
+from fwconform.verdict import evaluate_auth_criteria, evaluate_filter_criteria
 
 EXT = [
     Host("ext1", Address("198.51.100.10", "02:00:5e:10:00:01")),
@@ -260,6 +262,31 @@ def test_auth_default_attempts_cover_the_four_combinations():
     assert len(ev.journal) >= 5
 
 
+@pytest.mark.parametrize(
+    "faults, failed",
+    [
+        ((), []),
+        (("accept_unknown_id",), ["unregistered-credentials-rejected"]),
+        (("accept_any_password",), ["unregistered-credentials-rejected"]),
+    ],
+    ids=["compliant", "accept_unknown_id", "accept_any_password"],
+)
+def test_default_attempts_step_past_an_account_named_like_them(faults, failed):
+    # The account takes the default wrong identifier and wrong password, so the
+    # defaults become fresh strings that no account registers.
+    account = AdminAccount("outsider", "open-sesame")
+    b = bench(accounts=[account], faults=[Fault.parse(f) for f in faults])
+    ev = run_auth_procedure(b)
+    assert [(a.identifier, a.password) for a in ev.attempts] == [
+        ("outsider", "open-sesame"),
+        ("outsider", "open-sesame-x"),
+        ("outsider-x", "open-sesame"),
+        ("outsider-x", "open-sesame-x"),
+        ("outsider", "open-sesame"),
+    ]
+    assert [c.label for c in evaluate_auth_criteria(ev) if not c.bit] == failed
+
+
 def test_auth_rejects_thin_attempt_lists():
     b = bench(accounts=ACCOUNTS)
     with pytest.raises(Refused):
@@ -421,6 +448,8 @@ def test_procedure_errors_carry_the_owner_text():
         Mutation("screen.conf", "flip", offset=99),
     ]
     inside_out_traffic = [TrafficSpec("int1", "ext1"), TrafficSpec("int2", "ext2")]
+    variant = ProcedureVariant("r1", "a", time=1, cost=0)
+    quiet = bench(rules=rules)
     cases = [
         (
             lambda: run_filter_procedure(build_testbench(bare, INT, rules=rules), FilterLevel.LINK),
@@ -450,7 +479,7 @@ def test_procedure_errors_carry_the_owner_text():
         ),
         (lambda: bench().host("ghost"), "no host named 'ghost' on the bench"),
         (
-            lambda: bench(files=files[:1]).fw.modify_file("z", Mutation("z", "flip", offset=0)),
+            lambda: bench(files=files[:1]).fw.modify_file(Mutation("z", "flip", offset=0)),
             "no such monitored file: z",
         ),
         (
@@ -479,6 +508,16 @@ def test_procedure_errors_carry_the_owner_text():
             lambda: run_filter_procedure(reference, FilterLevel.NETWORK, inside_out_traffic),
             "packet 1: source 'int1' is not an external host",
         ),
+        (lambda: run_filter_procedure(quiet, FilterLevel.NETWORK, ()), "traffic list is empty"),
+        (
+            lambda: FirewallProfile("s", ("r1", "r99")),
+            "unknown requirement id(s) claimed: r99",
+        ),
+        (lambda: optimize_plan({"r1": [variant, variant]}), "duplicate variant(s): r1/a"),
+        (
+            lambda: aggregate_verdict([(ALL_REQUIREMENTS["r1"], 1)] * 2, {"r1": ProcedureOutcome(1)}),
+            "duplicate claim ids",
+        ),
     ]
     for run, text in cases:
         assert text
@@ -488,3 +527,4 @@ def test_procedure_errors_carry_the_owner_text():
         assert isinstance(caught.value, ValueError)
         assert isinstance(caught.value, FwconformError)
     assert reference.fw.files == files_before  # refused before any edit
+    assert quiet.fw.export_journal() == ()  # refused before any packet was sent
