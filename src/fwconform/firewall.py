@@ -61,7 +61,7 @@ FILTER_EVENTS = (JournalEvent.PASS_ALLOWED, JournalEvent.PASS_DENIED)
 AUTH_EVENTS = (JournalEvent.AUTH_ACCEPTED, JournalEvent.AUTH_REJECTED)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Address:
     """A network address with an optional link-layer address.
 
@@ -99,7 +99,7 @@ def normalize_links(record) -> None:
 DEFAULT_MANAGEMENT = Address("198.18.0.1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Packet:
     """One simulated datagram; `payload_tag` is unique within a procedure run."""
 
@@ -158,7 +158,7 @@ class FilterRule:
         return self.proto is not None or self.ttl_min is not None or self.ttl_max is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JournalEntry:
     """One append-only event record; `subject` depends on the event kind.
 
@@ -352,11 +352,12 @@ class Firewall:
     exact on its (src, dst) address pair, so the engine then keeps a pair
     index of the rewritten rules, each bucket in `order` order, and
     screening a packet scans only its pair's bucket and reads no fault.
-    The journal's faults become the set of event kinds it drops, and the
-    other mechanisms look theirs up in one map from fault name to
-    parameters.  A fault that names a rule or file the product lacks, or
-    leaks credentials from a product with local sign-on, is refused with
-    `fault_problem`'s text.
+    The journal's faults become the set of event kinds it drops, read by
+    screening through a table from "an allow rule matched" to its decision
+    and journal event, and the other mechanisms look theirs up in one map
+    from fault name to parameters.  A fault that names a rule or file the
+    product lacks, or leaks credentials from a product with local sign-on,
+    is refused with `fault_problem`'s text.
     """
 
     def __init__(
@@ -378,6 +379,14 @@ class Firewall:
         self._unjournaled = frozenset(e for e in FILTER_EVENTS if e.value in skipped)
         if FaultName.OMIT_AUTH_JOURNAL in self._fault_params:
             self._unjournaled |= frozenset(AUTH_EVENTS)
+        # Screening's outcome by "an allow rule matched": (decision, event to journal or None).
+        self._screened = tuple(
+            (decision, None if event in self._unjournaled else event)
+            for decision, event in (
+                (Decision.DROPPED, JournalEvent.PASS_DENIED),
+                (Decision.FORWARDED, JournalEvent.PASS_ALLOWED),
+            )
+        )
         file_ids = {f.file_id for f in files}
         refuse(
             *configuration_problems(rules, accounts, files),
@@ -427,38 +436,30 @@ class Firewall:
 
     # -- screening ---------------------------------------------------------
 
-    def _fields_match(self, rule: FilterRule, packet: Packet) -> bool:
-        # The address pair already matched: the rule came from its bucket.
-        if rule.src_link is not None and rule.src_link != packet.src.link:
-            return False
-        if rule.dst_link is not None and rule.dst_link != packet.dst.link:
-            return False
-        if rule.proto is not None and rule.proto != packet.proto:
-            return False
-        if rule.ttl_min is not None and packet.ttl < rule.ttl_min:
-            return False
-        if rule.ttl_max is not None and packet.ttl > rule.ttl_max:
-            return False
-        return True
-
     def filter_packet(self, packet: Packet) -> Decision:
         """Screen one packet: first matching rule wins, no match means drop.
 
         The decision depends only on the packet and the configured rules;
         every screened packet leaves a journal entry.
         """
-        action = None
-        for rule in self._buckets.get((packet.src.net, packet.dst.net), ()):
-            if self._fields_match(rule, packet):
-                action = rule.action
+        src, dst = packet.src, packet.dst
+        pair = (src.net, dst.net)
+        allowed = False
+        # The address pair already matched: the rules come from its bucket.
+        for rule in self._buckets.get(pair, ()):
+            if (
+                (rule.src_link is None or rule.src_link == src.link)
+                and (rule.dst_link is None or rule.dst_link == dst.link)
+                and (rule.proto is None or rule.proto == packet.proto)
+                and (rule.ttl_min is None or rule.ttl_min <= packet.ttl)
+                and (rule.ttl_max is None or packet.ttl <= rule.ttl_max)
+            ):
+                allowed = rule.action is RuleAction.ALLOW
                 break
-        decision = Decision.FORWARDED if action is RuleAction.ALLOW else Decision.DROPPED
-        event = (
-            JournalEvent.PASS_ALLOWED
-            if decision is Decision.FORWARDED
-            else JournalEvent.PASS_DENIED
-        )
-        self._journal_event(event, (packet.src.net, packet.dst.net))
+        decision, event = self._screened[allowed]
+        if event is not None:
+            journal = self._journal
+            journal.append(JournalEntry(len(journal) + 1, event, pair))
         return decision
 
     # -- administrator sign-on ----------------------------------------------

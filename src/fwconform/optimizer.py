@@ -13,12 +13,12 @@ ids so plans are reproducible: the plan is the selection with the least
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 from .errors import Infeasible, Refused, refuse
-from .firewall import duplicate_problem
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,10 @@ class CampaignPlan:
 
 
 def duplicate_variant_problem(variants: Iterable[ProcedureVariant]) -> str | None:
-    """``duplicate variant(s): r1/a`` naming each requirement/variant id given twice, or None."""
-    return duplicate_problem("variant(s)", (f"{v.requirement_id}/{v.variant_id}" for v in variants))
+    """``duplicate variant(s): r1/a`` naming each (requirement, variant) id pair given twice."""
+    found = Counter((v.requirement_id, v.variant_id) for v in variants)
+    dup = sorted("/".join(pair) for pair, count in found.items() if count > 1)
+    return f"duplicate variant(s): {', '.join(dup)}" if dup else None
 
 
 def _validated_groups(

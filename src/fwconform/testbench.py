@@ -165,24 +165,21 @@ build_testbench = Testbench
 
 
 def _build_packet(bench: Testbench, spec: TrafficSpec) -> Packet:
-    src = bench.host(spec.src)
-    dst = bench.host(spec.dst)
-    src_addr = src.address
-    dst_addr = dst.address
+    src = bench.host(spec.src).address
+    dst = bench.host(spec.dst).address
     if spec.src_link is not None:
-        src_addr = Address(src_addr.net, spec.src_link)
+        src = Address(src.net, spec.src_link)
     if spec.dst_link is not None:
-        dst_addr = Address(dst_addr.net, spec.dst_link)
+        dst = Address(dst.net, spec.dst_link)
     tag = bench._next_tag()
-    filler = f"{bench.rng.getrandbits(32):08x}"
     return Packet(
-        src=src_addr,
-        dst=dst_addr,
-        proto=spec.proto if spec.proto is not None else DEFAULT_PROTO,
-        ttl=spec.ttl if spec.ttl is not None else DEFAULT_TTL,
-        payload_tag=tag,
-        payload=f"pkt:{tag}:{filler}".encode(),
-        ingress=Segment.EXTERNAL,
+        src,
+        dst,
+        DEFAULT_PROTO if spec.proto is None else spec.proto,
+        DEFAULT_TTL if spec.ttl is None else spec.ttl,
+        tag,
+        b"pkt:%d:%08x" % (tag, bench.rng.getrandbits(32)),
+        Segment.EXTERNAL,
     )
 
 
@@ -195,9 +192,10 @@ def generate_packets(
     outside-to-inside host pair, in topology order, with default field
     values; an explicit list replaces that entirely, and is refused when it
     is empty or a packet does not go from an outside host to an inside
-    one.  Each packet is offered to the product and lands on the inside
-    tap when it comes through; the packets sent are returned.  The medium
-    itself never loses, reorders or duplicates anything.
+    one.  The packets are built, then offered to the product in order, and
+    each lands on the inside tap when it comes through; the packets sent
+    are returned.  The medium itself never loses, reorders or duplicates
+    anything.
     """
     if traffic is None:
         traffic = [
@@ -206,13 +204,10 @@ def generate_packets(
         ]
     else:
         refuse(*traffic_problems(traffic, bench.external, bench.internal))
-    packets = []
-    for spec in traffic:
-        packet = _build_packet(bench, spec)
-        packets.append(packet)
-        if bench.fw.filter_packet(packet) is Decision.FORWARDED:
-            bench.inside.append(packet)
-    return tuple(packets)
+    packets = tuple(_build_packet(bench, spec) for spec in traffic)
+    screen = bench.fw.filter_packet
+    bench.inside.extend(p for p in packets if screen(p) is Decision.FORWARDED)
+    return packets
 
 
 @dataclass(frozen=True)

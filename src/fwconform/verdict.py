@@ -17,6 +17,8 @@ show up as a set mismatch rather than cancelling out.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Union
 
 from .errors import Refused
@@ -68,14 +70,13 @@ def project(item: Union[Packet, FilterRule, JournalEntry]) -> tuple[str, str]:
     return (item.subject[0], item.subject[1])
 
 
-def _level_tuple(packet: Packet, level: FilterLevel) -> tuple:
-    # The comparison tuple grows with the screening level so field-aware
-    # rule sets can be told apart from plain address screening.
-    if level is FilterLevel.NETWORK:
-        return (packet.src.net, packet.dst.net)
-    if level is FilterLevel.LINK:
-        return (packet.src.net, packet.src.link or "", packet.dst.net, packet.dst.link or "")
-    return (packet.src.net, packet.dst.net, packet.proto, packet.ttl)
+# Each probe's comparison key by level: the tuple grows with the screening
+# level so field-aware rule sets can be told apart from plain address screening.
+_LEVEL_KEYS = {
+    FilterLevel.NETWORK: attrgetter("src.net", "dst.net"),
+    FilterLevel.LINK: lambda p: (p.src.net, p.src.link or "", p.dst.net, p.dst.link or ""),
+    FilterLevel.FIELDS: attrgetter("src.net", "dst.net", "proto", "ttl"),
+}
 
 
 def _first_match_in_order(ordered: Iterable[FilterRule], packet: Packet) -> FilterRule | None:
@@ -103,29 +104,39 @@ class ProbeRow(NamedTuple):
     """What the verdict knows about one probe."""
 
     pair: tuple[str, str]
-    key: tuple  # the probe at the run's level, as `_level_tuple` projects it
+    key: tuple  # the probe at the run's level, as `_LEVEL_KEYS` projects it
     rule: FilterRule | None  # the reference first match; None: the default stance
     delivered: bool
 
 
-def probe_ledger(evidence: FilterEvidence) -> tuple[ProbeRow, ...]:
-    """One row per probe, in probe order, worked out from the evidence alone."""
+def _ledger_columns(evidence: FilterEvidence) -> tuple[list, list, list, list]:
+    """The probe ledger as four columns in probe order: pairs, keys, rules, delivered."""
     by_pair: dict[tuple[str, str], list[FilterRule]] = {}
-    for rule in sorted(evidence.rules, key=lambda r: r.order):
+    for rule in sorted(evidence.rules, key=attrgetter("order")):
         by_pair.setdefault(project(rule), []).append(rule)
-    out_tags = {p.payload_tag for p in evidence.packet_out}
-    stray = out_tags.difference(p.payload_tag for p in evidence.packet_in)
+    packets = evidence.packet_in
+    tags = list(map(attrgetter("payload_tag"), packets))
+    out_tags = set(map(attrgetter("payload_tag"), evidence.packet_out))
+    stray = out_tags.difference(tags)
     if stray:
         raise Refused(f"delivered packet {min(stray)} is not a probe")
-    level = evidence.level
-    rows = []
-    for packet in evidence.packet_in:
-        pair = project(packet)
-        rule = _first_match_in_order(by_pair.get(pair, ()), packet)
-        rows.append(
-            ProbeRow(pair, _level_tuple(packet, level), rule, packet.payload_tag in out_tags)
-        )
-    return tuple(rows)
+    pairs = list(map(_LEVEL_KEYS[FilterLevel.NETWORK], packets))
+    keys = list(map(_LEVEL_KEYS[evidence.level], packets))
+    rules = [
+        _first_match_in_order(by_pair[pair], packet) if pair in by_pair else None
+        for pair, packet in zip(pairs, packets)
+    ]
+    return pairs, keys, rules, [tag in out_tags for tag in tags]
+
+
+def probe_ledger(evidence: FilterEvidence) -> tuple[ProbeRow, ...]:
+    """One row per probe, in probe order, worked out from the evidence alone."""
+    return tuple(map(ProbeRow, *_ledger_columns(evidence)))
+
+
+def _journal_pairs(entries: Iterable[JournalEntry]) -> PairSet:
+    # `project` on each entry: the first two subject fields.
+    return PairSet(map(itemgetter(0, 1), map(attrgetter("subject"), entries)))
 
 
 def evaluate_filter_criteria(evidence: FilterEvidence) -> tuple[CriterionResult, ...]:
@@ -137,20 +148,22 @@ def evaluate_filter_criteria(evidence: FilterEvidence) -> tuple[CriterionResult,
     """
     if not evidence.packet_in:
         raise Refused("no probe traffic sent")
-    rows = probe_ledger(evidence)
-    allowed = [r.rule is not None and r.rule.action is RuleAction.ALLOW for r in rows]
-    expect_forward = PairSet(r.key for r, allow in zip(rows, allowed) if allow)
-    expect_drop = PairSet(r.key for r, allow in zip(rows, allowed) if not allow)
-    actual_forward = PairSet(r.key for r in rows if r.delivered)
-    actual_drop = PairSet(r.key for r in rows if not r.delivered)
-    default_denied = sum(r.rule is None for r in rows)
+    pairs, keys, rules, delivered = _ledger_columns(evidence)
+    allowed = [rule is not None and rule.action is RuleAction.ALLOW for rule in rules]
+    denied = [not allow for allow in allowed]
+    blocked = [not d for d in delivered]
+    expect_forward = PairSet(compress(keys, allowed))
+    expect_drop = PairSet(compress(keys, denied))
+    actual_forward = PairSet(compress(keys, delivered))
+    actual_drop = PairSet(compress(keys, blocked))
+    default_denied = sum(rule is None for rule in rules)
     note = f", {default_denied} probe(s) falling to the default stance" if default_denied else ""
 
     # Journal entries carry (sender, recipient) pairs whatever the level.
-    out_pairs = PairSet(r.pair for r in rows if r.delivered)
-    blocked_pairs = PairSet(r.pair for r in rows if not r.delivered)
-    logged_allowed = PairSet(map(project, evidence.journal_allowed))
-    logged_denied = PairSet(map(project, evidence.journal_denied))
+    out_pairs = PairSet(compress(pairs, delivered))
+    blocked_pairs = PairSet(compress(pairs, blocked))
+    logged_allowed = _journal_pairs(evidence.journal_allowed)
+    logged_denied = _journal_pairs(evidence.journal_denied)
 
     # (label, actual, expected, what a passing detail counts, suffix of either detail)
     equations = (

@@ -1,6 +1,6 @@
 import ipaddress
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +18,7 @@ from fwconform.firewall import (
     FileArtifact,
     FilterRule,
     Firewall,
+    JournalEntry,
     JournalEvent,
     Mutation,
     Packet,
@@ -125,7 +126,41 @@ def test_packet_field_ranges():
     assert packet_field_problem(6, 64) is None
 
 
+def test_slotted_records_stay_frozen_hashable_and_equal_by_value():
+    records = (
+        Address(A, "02:00:5E:10:00:01"),
+        packet(proto=17, ttl=9, payload_tag=3, payload=b"x"),
+        JournalEntry(1, JournalEvent.PASS_ALLOWED, (A, B)),
+    )
+    for record in records:
+        name = fields(record)[0].name
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
+        twin = replace(record)
+        assert twin == record and twin is not record
+        assert hash(twin) == hash(record) and len({record, twin}) == 1
+    assert len(set(records) | {Address(B), packet(ttl=10)}) == 5
+    # replace() builds through __init__, so the guards run again.
+    assert replace(records[0], link="02:00:5E:AA:00:01").link == "02:00:5e:aa:00:01"
+    with pytest.raises(Refused, match="not a canonical dotted-quad"):
+        replace(records[0], net="198.051.100.10")
+    with pytest.raises(Refused, match="^ttl out of range: 256$"):
+        replace(records[1], ttl=256)
+
+
 # -- screening ----------------------------------------------------------------
+
+def test_screening_reads_no_fault_state():
+    # filter_packet and every Firewall method it calls, named in its code.
+    todo, seen = ["filter_packet"], set()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        names = getattr(Firewall, name).__code__.co_names
+        assert not {"_fault_params", "_unjournaled"} & set(names), name
+        methods = (n for n in names if hasattr(getattr(Firewall, n, None), "__code__"))
+        todo += [n for n in methods if n not in seen]
+
 
 def test_single_allow_rule_forwards_and_journals():
     fw = Firewall(rules=[allow(A, B, 0)])

@@ -5,7 +5,7 @@ import pytest
 from _oracles import oracle_plan
 from _support import BRUTE_FORCE_LIMIT, TooLarge, brute_force_plan
 from fwconform.errors import FwconformError, Infeasible
-from fwconform.optimizer import ProcedureVariant, optimize_plan
+from fwconform.optimizer import ProcedureVariant, duplicate_variant_problem, optimize_plan
 
 
 def v(rid, vid, time, cost):
@@ -66,6 +66,13 @@ def test_catalog_validation_errors():
         with pytest.raises(ValueError, match=text) as caught:
             optimize_plan(catalog)
         assert isinstance(caught.value, FwconformError)
+
+
+def test_duplicate_variants_are_keyed_on_the_id_pair_not_the_joined_text():
+    # "r1/x" + "a" and "r1" + "x/a" join to the same text but are two variants.
+    assert duplicate_variant_problem([v("r1/x", "a", 1, 1), v("r1", "x/a", 1, 1)]) is None
+    twice = [v("r1-link", "a", 1, 1), v("r1", "a", 1, 1)] * 2
+    assert duplicate_variant_problem(twice) == "duplicate variant(s): r1-link/a, r1/a"
 
 
 def test_time_ties_break_toward_lower_cost_then_variant_id():

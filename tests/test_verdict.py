@@ -10,6 +10,7 @@ from _oracles import oracle_filter_bits, oracle_first_match
 from fwconform.campaign import run_campaign
 from fwconform.errors import Refused
 from fwconform.firewall import (
+    FILTER_EVENTS,
     AdminAccount,
     Address,
     Fault,
@@ -312,6 +313,59 @@ def test_ledger_and_bits_agree_with_the_oracles_under_every_filter_fault(bench_p
                 assert row.delivered == (probe.payload_tag in out_tags)
             bits = tuple(r.bit for r in evaluate_filter_criteria(ev))
             assert bits == oracle_filter_bits(ev), (spec, level)
+
+
+# Every outside-to-inside pair with default fields, then with a spoofed
+# sender MAC and with a ttl outside rule 2's range: both outcomes occur.
+_TRAFFIC = [
+    TrafficSpec(s.name, d.name, **kw)
+    for kw in ({}, {"src_link": _SPOOFED_MAC}, {"ttl": 200})
+    for s in EXT
+    for d in INT
+]
+
+
+@pytest.mark.parametrize("spec", [None, "skip_journal:pass_allowed", "skip_journal:pass_denied"])
+def test_the_filter_journal_lists_each_probe_in_order_with_its_outcome(spec):
+    bench = build_testbench(EXT, INT, rules=RULES, faults=parsed([spec] if spec else []), seed=3)
+    skipped = spec and JournalEvent(spec.partition(":")[2])
+    for level in FilterLevel:
+        mark = len(bench.fw.export_journal())
+        ev = run_filter_procedure(bench, level, _TRAFFIC)
+        out_tags = {p.payload_tag for p in ev.packet_out}
+        outcomes = [
+            (JournalEvent.PASS_ALLOWED if p.payload_tag in out_tags else JournalEvent.PASS_DENIED,
+             (p.src.net, p.dst.net))
+            for p in ev.packet_in
+        ]
+        assert {event for event, _ in outcomes} == set(FILTER_EVENTS)
+        journal = bench.fw.export_journal()[mark:]
+        kept = [outcome for outcome in outcomes if outcome[0] is not skipped]
+        assert [(e.event, e.subject) for e in journal] == kept
+        assert [e.seq for e in journal] == list(range(mark + 1, mark + 1 + len(journal)))
+
+
+def _level_key(packet, level):
+    """A probe's comparison key at `level`, written out."""
+    if level is FilterLevel.NETWORK:
+        return (packet.src.net, packet.dst.net)
+    if level is FilterLevel.LINK:
+        return (packet.src.net, packet.src.link or "", packet.dst.net, packet.dst.link or "")
+    return (packet.src.net, packet.dst.net, packet.proto, packet.ttl)
+
+
+def test_the_ledger_key_is_the_probe_projected_at_the_run_level():
+    # One host has no link address, so a link key holds "" for it.
+    bare = Host("ext3", Address("198.51.100.12"))
+    traffic = [*_TRAFFIC, TrafficSpec("ext3", "int1", proto=17), TrafficSpec("ext3", "int2")]
+    bench = build_testbench([*EXT, bare], INT, rules=RULES, seed=3)
+    ev = run_filter_procedure(bench, FilterLevel.NETWORK, traffic)
+    for level in FilterLevel:
+        rows = probe_ledger(replace(ev, level=level))
+        assert [row.key for row in rows] == [_level_key(p, level) for p in ev.packet_in]
+    assert ("198.51.100.12", "", "203.0.113.21", "02:00:5e:20:00:02") in {
+        row.key for row in probe_ledger(replace(ev, level=FilterLevel.LINK))
+    }
 
 
 @pytest.mark.parametrize("spec", [None, "invert_rule:0", "ignore_field:ttl"])
