@@ -2,9 +2,9 @@
 
 The firewall owns four mechanisms that the test procedures exercise: an
 ordered first-match rule engine, an append-only event journal, an
-administrator sign-on subsystem, and a file-integrity monitor.  A fault
-layer can degrade any one mechanism to produce deliberately noncompliant
-variants for negative testing.
+administrator sign-on subsystem, and a file-integrity monitor.  `Firewall`
+carries no fault code; its subclass `FaultyFirewall` owns the fault model
+and degrades any mechanism for negative testing.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import compress
 from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence
 
 from .errors import Refused, refuse
@@ -23,7 +24,8 @@ _MAC_RE = re.compile(r"[0-9a-f]{2}(:[0-9a-f]{2}){5}")
 # A canonical dotted quad: four octets 0-255 in ASCII digits, no leading zeros.
 _OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _NET_RE = re.compile(rf"{_OCTET}(?:\.{_OCTET}){{3}}")
-_FIELD_VALUES = frozenset(range(256)) | {None}  # a packet's proto or ttl; None: not given
+_BYTES = frozenset(range(256))  # a packet's proto or ttl
+_FIELD_VALUES = _BYTES | {None}  # a requested proto or ttl; None: not given
 
 DEFAULT_PROTO = 6
 DEFAULT_TTL = 64
@@ -81,8 +83,7 @@ class Address:
 
 def link_address(text: str) -> str:
     """A colon-hex MAC address in lower case; `Refused` when malformed."""
-    low = text.lower()
-    if not _MAC_RE.fullmatch(low):
+    if not (isinstance(text, str) and _MAC_RE.fullmatch(low := text.lower())):
         raise Refused(f"bad link-layer address: {text!r}")
     return low
 
@@ -112,16 +113,18 @@ class Packet:
     ingress: Segment = Segment.EXTERNAL
 
     def __post_init__(self):
-        if not (0 <= self.proto <= 255 and 0 <= self.ttl <= 255):
-            raise Refused(packet_field_problem(self.proto, self.ttl))
+        if not (self.proto in _BYTES and self.ttl in _BYTES):
+            raise Refused(packet_field_problem(self.proto, self.ttl, _BYTES))
 
 
-def packet_field_problem(proto: int | None, ttl: int | None) -> str | None:
-    """Why a packet's proto or ttl, where given, cannot be sent, or None."""
-    if proto in _FIELD_VALUES and ttl in _FIELD_VALUES:
+def packet_field_problem(
+    proto: int | None, ttl: int | None, values: Collection = _FIELD_VALUES
+) -> str | None:
+    """Why a proto or ttl is not among `values` (0..255, or None: not given), or None."""
+    if proto in values and ttl in values:
         return None
     given = (("proto", proto), ("ttl", ttl))
-    return "; ".join(f"{k} out of range: {v}" for k, v in given if v not in _FIELD_VALUES)
+    return "; ".join(f"{k} out of range: {v!r}" for k, v in given if v not in values)
 
 
 @dataclass(frozen=True)
@@ -203,8 +206,12 @@ class Mutation:
     data: bytes = b""
 
     def __post_init__(self):
-        if self.kind not in ("none", "flip", "append", "replace"):
-            raise Refused(f"unknown mutation kind {self.kind!r}")
+        refuse(
+            self.kind not in ("none", "flip", "append", "replace")
+            and f"unknown mutation kind {self.kind!r}",
+            type(self.offset) is not int and f"mutation offset must be an integer: {self.offset!r}",
+            not isinstance(self.data, bytes) and f"mutation data must be bytes: {self.data!r}",
+        )
 
     def apply(self, content: bytes) -> bytes:
         if self.kind == "none":
@@ -299,9 +306,7 @@ class Fault:
 # What the rule engine's faults do to the product's own copy of a rule.
 _OPPOSITE = {RuleAction.ALLOW: RuleAction.DENY, RuleAction.DENY: RuleAction.ALLOW}
 _UNCONSTRAINED = {
-    "link": {"src_link": None, "dst_link": None},
-    "proto": {"proto": None},
-    "ttl": {"ttl_min": None, "ttl_max": None},
+    "link": ("src_link", "dst_link"), "proto": ("proto",), "ttl": ("ttl_min", "ttl_max")
 }
 
 
@@ -340,24 +345,13 @@ def configuration_problems(
 
 
 class Firewall:
-    """One screening product instance.
+    """One compliant screening product instance; it carries no fault code.
 
     Single-threaded: the journal and file store are mutable.  Distinct
-    instances are fully independent.
-
-    Faults are built in when the product is made.  The rule engine's
-    faults rewrite its own order-sorted copy of the rules: `invert_rule:k`
-    gives the rule at position k of that list the opposite action, and
-    `ignore_field:f` drops every rule's constraint on f.  Every rule is
-    exact on its (src, dst) address pair, so the engine then keeps a pair
-    index of the rewritten rules, each bucket in `order` order, and
-    screening a packet scans only its pair's bucket and reads no fault.
-    The journal's faults become the set of event kinds it drops, read by
-    screening through a table from "an allow rule matched" to its decision
-    and journal event, and the other mechanisms look theirs up in one map
-    from fault name to parameters.  A fault that names a rule or file the
-    product lacks, or leaks credentials from a product with local sign-on,
-    is refused with `fault_problem`'s text.
+    instances are fully independent.  Every rule is exact on its (src,
+    dst) address pair, so screening a packet scans only its pair's bucket
+    of the order-sorted rules.  Sign-on, the console exchange and the
+    integrity check each call one small step that `FaultyFirewall` overrides.
     """
 
     def __init__(
@@ -367,42 +361,19 @@ class Firewall:
         files: Sequence[FileArtifact] = (),
         auth_mode: AuthMode = AuthMode.REMOTE,
         management: Address | None = None,
-        faults: Sequence[Fault] = (),
     ):
+        refuse(*configuration_problems(rules, accounts, files))
         self.auth_mode = auth_mode
         self.management = management if management is not None else DEFAULT_MANAGEMENT
-        self.faults = tuple(faults)
-        self._fault_params: dict[FaultName, set] = {}
-        for fault in self.faults:
-            self._fault_params.setdefault(fault.name, set()).add(fault.param)
-        skipped = self._fault_params.get(FaultName.SKIP_JOURNAL, ())
-        self._unjournaled = frozenset(e for e in FILTER_EVENTS if e.value in skipped)
-        if FaultName.OMIT_AUTH_JOURNAL in self._fault_params:
-            self._unjournaled |= frozenset(AUTH_EVENTS)
         # Screening's outcome by "an allow rule matched": (decision, event to journal or None).
-        self._screened = tuple(
-            (decision, None if event in self._unjournaled else event)
-            for decision, event in (
-                (Decision.DROPPED, JournalEvent.PASS_DENIED),
-                (Decision.FORWARDED, JournalEvent.PASS_ALLOWED),
-            )
-        )
-        file_ids = {f.file_id for f in files}
-        refuse(
-            *configuration_problems(rules, accounts, files),
-            *(fault_problem(fault, len(rules), file_ids, auth_mode) for fault in self.faults),
+        self._screened = (
+            (Decision.DROPPED, JournalEvent.PASS_DENIED),
+            (Decision.FORWARDED, JournalEvent.PASS_ALLOWED),
         )
         self._journal: list[JournalEntry] = []
-        inverted = self._fault_params.get(FaultName.INVERT_RULE, ())
-        ignored = {}
-        for field in self._fault_params.get(FaultName.IGNORE_FIELD, ()):
-            ignored.update(_UNCONSTRAINED[field])
+        self._rules = tuple(sorted(rules, key=lambda r: r.order))
         self._buckets: dict[tuple[str, str], list[FilterRule]] = {}
-        for index, rule in enumerate(sorted(rules, key=lambda r: r.order)):
-            if index in inverted:
-                rule = replace(rule, action=_OPPOSITE[rule.action])
-            if ignored:
-                rule = replace(rule, **ignored)
+        for rule in self._screening_rules():
             self._buckets.setdefault((rule.src, rule.dst), []).append(rule)
         self._accounts = tuple(accounts)
         self._files = {f.file_id: f.content for f in files}
@@ -430,11 +401,13 @@ class Firewall:
     # -- journal writing ---------------------------------------------------
 
     def _journal_event(self, event: JournalEvent, subject: tuple[str, ...]) -> None:
-        if event in self._unjournaled:
-            return
         self._journal.append(JournalEntry(len(self._journal) + 1, event, subject))
 
     # -- screening ---------------------------------------------------------
+
+    def _screening_rules(self) -> Iterable[FilterRule]:
+        """The rules screening indexes, in `order` order: the product's own copy."""
+        return self._rules
 
     def filter_packet(self, packet: Packet) -> Decision:
         """Screen one packet: first matching rule wins, no match means drop.
@@ -464,6 +437,9 @@ class Firewall:
 
     # -- administrator sign-on ----------------------------------------------
 
+    def _grants(self, identifier: str, password: str) -> bool:
+        return any(a.identifier == identifier and a.password == password for a in self._accounts)
+
     def authenticate(self, identifier: str, password: str) -> int:
         """Try an administrator sign-on; returns 1 when access is granted.
 
@@ -472,29 +448,22 @@ class Firewall:
         """
         attempt_index = self._auth_attempt_count
         self._auth_attempt_count += 1
-        granted = any(
-            a.identifier == identifier and a.password == password for a in self._accounts
-        )
-        known_id = any(a.identifier == identifier for a in self._accounts)
-        if FaultName.ACCEPT_ANY_PASSWORD in self._fault_params and known_id:
-            granted = True
-        if FaultName.ACCEPT_UNKNOWN_ID in self._fault_params and not known_id:
-            granted = True
+        granted = self._grants(identifier, password)
         event = JournalEvent.AUTH_ACCEPTED if granted else JournalEvent.AUTH_REJECTED
         self._journal_event(event, (identifier,))
         if self.auth_mode is AuthMode.REMOTE:
             self._emit_exchange(attempt_index, identifier, password, granted)
         return int(granted)
 
+    def _signon_request(self, index: int, identifier: str, password: str) -> str:
+        token = hashlib.sha256(f"{identifier}\x00{password}".encode()).hexdigest()[:16]
+        return f"console-signon attempt={index} token={token}"
+
     def _emit_exchange(self, index: int, identifier: str, password: str, granted: bool) -> None:
         if self._console is None:  # no bench connected: the exchange goes nowhere
             return
         sink, make_tag, console = self._console
-        if FaultName.LEAK_CREDENTIALS in self._fault_params:
-            request = f"console-signon attempt={index} id={identifier} pwd={password}"
-        else:
-            token = hashlib.sha256(f"{identifier}\x00{password}".encode()).hexdigest()[:16]
-            request = f"console-signon attempt={index} token={token}"
+        request = self._signon_request(index, identifier, password)
         reply = f"console-verdict attempt={index} {'granted' if granted else 'refused'}"
         for src, dst, text in (
             (console, self.management, request),
@@ -524,6 +493,9 @@ class Firewall:
             raise Refused(f"no such monitored file: {file_id}")
         self._files[file_id] = mutation.apply(self._files[file_id])
 
+    def _flags(self, file_id: str, content: bytes) -> bool:
+        return digest(content) != self._baselines[file_id]
+
     def run_integrity_check(self) -> dict[str, int]:
         """Compare every file against its baseline; 1 means a violation was found.
 
@@ -531,10 +503,9 @@ class Firewall:
         """
         if self._baselines is None:
             raise Refused("integrity baselines were never recorded")
-        blind = self._fault_params.get(FaultName.BLIND_INTEGRITY, ())
         report: dict[str, int] = {}
         for file_id, content in self._files.items():
-            violated = file_id not in blind and digest(content) != self._baselines[file_id]
+            violated = self._flags(file_id, content)
             report[file_id] = int(violated)
             if violated:
                 self._journal_event(JournalEvent.INTEGRITY_ALARM, (file_id,))
@@ -547,10 +518,61 @@ class Firewall:
         return tuple(self._journal)
 
 
+class FaultyFirewall(Firewall):
+    """A `Firewall` degraded by deliberate faults, for negative testing.
+
+    Rule faults rewrite the order-sorted rules once, before indexing:
+    `invert_rule:k` flips the action of the rule at position k, and
+    `ignore_field:f` drops every rule's constraint on f.  `skip_journal`
+    blanks events in the screening table, so screening reads no fault.
+    Each other fault overrides one step of the mechanism it degrades.  A
+    fault the configuration cannot take is refused with `fault_problem`'s
+    text, after the compliant product's own configuration problems.
+    """
+
+    def __init__(self, *loaded, faults: Sequence[Fault] = (), **configured):
+        faults = self.faults = tuple(faults)
+        self._params = {f.name: {g.param for g in faults if g.name is f.name} for f in faults}
+        super().__init__(*loaded, **configured)
+        rule_count = len(self._rules)
+        refuse(*(fault_problem(f, rule_count, self._files, self.auth_mode) for f in self.faults))
+        skipped = self._params.get(FaultName.SKIP_JOURNAL, ())
+        self._screened = tuple((d, None if e.value in skipped else e) for d, e in self._screened)
+
+    def _screening_rules(self) -> Iterable[FilterRule]:
+        inverted = self._params.get(FaultName.INVERT_RULE, ())
+        fields = self._params.get(FaultName.IGNORE_FIELD, ())
+        ignored = {name: None for field in fields for name in _UNCONSTRAINED[field]}
+        for index, rule in enumerate(self._rules):
+            changes = dict(ignored, action=_OPPOSITE[rule.action]) if index in inverted else ignored
+            yield replace(rule, **changes) if changes else rule
+
+    def _journal_event(self, event: JournalEvent, subject: tuple[str, ...]) -> None:
+        if event not in AUTH_EVENTS or FaultName.OMIT_AUTH_JOURNAL not in self._params:
+            super()._journal_event(event, subject)
+
+    def _grants(self, identifier: str, password: str) -> bool:
+        known = any(a.identifier == identifier for a in self._accounts)
+        lax = FaultName.ACCEPT_ANY_PASSWORD if known else FaultName.ACCEPT_UNKNOWN_ID
+        return lax in self._params or super()._grants(identifier, password)
+
+    def _signon_request(self, index: int, identifier: str, password: str) -> str:
+        if FaultName.LEAK_CREDENTIALS in self._params:
+            return f"console-signon attempt={index} id={identifier} pwd={password}"
+        return super()._signon_request(index, identifier, password)
+
+    def _flags(self, file_id: str, content: bytes) -> bool:
+        blind = self._params.get(FaultName.BLIND_INTEGRITY, ())
+        return file_id not in blind and super()._flags(file_id, content)
+
+
 def split_filter_journal(
     entries: Iterable[JournalEntry],
 ) -> tuple[tuple[JournalEntry, ...], tuple[JournalEntry, ...]]:
-    """Partition journal entries into (allowed, denied) screening records."""
-    allowed = tuple(e for e in entries if e.event is JournalEvent.PASS_ALLOWED)
-    denied = tuple(e for e in entries if e.event is JournalEvent.PASS_DENIED)
+    """Partition journal entries into (allowed, denied) screening records, each in order."""
+    entries = tuple(entries)
+    events = [e.event for e in entries]
+    allowed, denied = (
+        tuple(compress(entries, [event is kind for event in events])) for kind in FILTER_EVENTS
+    )
     return allowed, denied

@@ -35,8 +35,11 @@ class ProcedureVariant:
     cost: int
 
     def __post_init__(self):
+        name = f"{self.requirement_id}/{self.variant_id}"
+        if {type(self.time), type(self.cost)} != {int}:
+            raise Refused(f"{name}: time and cost must be integers: {self.time!r}, {self.cost!r}")
         if self.time < 0 or self.cost < 0:
-            raise Refused(f"{self.requirement_id}/{self.variant_id}: negative time or cost")
+            raise Refused(f"{name}: negative time or cost")
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,12 @@
 The bench models the standard desk setup: an outside segment with probe
 senders, a protected inside segment with receivers and the management
 console, and the product under test between them.  The bench builds
-the product once, with the rule set, accounts, files and faults; the
-procedures only drive it.  The bench keeps its own copies of the rule
-set, sorted by `order`, and of the accounts, and builds the product from
-them: the verdict stage compares the product against these.  The probes
-sent are the outside traffic; a tap on the inside segment records
-everything the product lets through.
+the product once, a `Firewall`, or a `FaultyFirewall` when faults are
+given; the procedures only drive it.  The bench keeps its own copies of
+the rule set, sorted by `order`, and of the accounts, and builds the
+product from them: the verdict stage compares the product against these.
+The probes sent are the outside traffic; a tap on the inside segment
+records everything the product lets through.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .firewall import (
     AuthMode,
     Decision,
     Fault,
+    FaultyFirewall,
     FileArtifact,
     FilterRule,
     Firewall,
@@ -94,7 +95,8 @@ class Testbench:
         # product is built first: its refusals precede the topology checks.
         self.rules = tuple(sorted(rules, key=lambda r: r.order))
         self.accounts = tuple(accounts)
-        self.fw = Firewall(self.rules, self.accounts, files, auth_mode, management, faults)
+        loaded = (self.rules, self.accounts, files, auth_mode, management)
+        self.fw = FaultyFirewall(*loaded, faults=faults) if faults else Firewall(*loaded)
         outside = {h.address.net for h in external}
         inside = {h.address.net for h in internal}
         refuse(

@@ -1,10 +1,12 @@
 from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_acceptance import ATTRIBUTION
 from fwconform.campaign import child_seed, run_campaign
 from fwconform.errors import FwconformError, Infeasible, ScenarioValidationError
 from fwconform.firewall import (
@@ -108,6 +110,33 @@ def test_run_campaign_refuses_an_inapplicable_fault(scenario_text, spec, message
         run_campaign(scenario, faults=[Fault.parse(spec)])
     with pytest.raises(ScenarioValidationError, match=f"fault {spec}: {message}"):
         run_campaign(replace(scenario, faults=(Fault.parse(spec),)))
+
+
+# Fault pairs whose attribution rows name disjoint requirements: a filter
+# fault with a sign-on or integrity fault, or a sign-on fault with
+# blind_integrity.  Each fault degrades its own mechanism of one product.
+DISJOINT_PAIRS = [
+    (a, b)
+    for a, b in combinations(ATTRIBUTION, 2)
+    if ATTRIBUTION[a].keys().isdisjoint(ATTRIBUTION[b])
+]
+
+
+def test_every_cross_mechanism_pair_of_attributed_faults_is_combined():
+    assert len(DISJOINT_PAIRS) == 6 * 5 + 4 * 1
+
+
+@pytest.mark.parametrize("pair", DISJOINT_PAIRS, ids="+".join)
+def test_two_faults_on_disjoint_requirements_fail_the_union_of_their_rows(pair):
+    scenario = load_scenario(str(REFERENCE))
+    report = run_campaign(scenario, faults=tuple(Fault.parse(spec) for spec in pair))
+    failed = {}
+    for rec in report.procedures:
+        broken = {c.label for c in rec.outcome.criteria if c.bit == 0}
+        if broken:
+            failed[rec.procedure.requirement_id] = broken
+    assert report.metadata.faults == pair
+    assert failed == {**ATTRIBUTION[pair[0]], **ATTRIBUTION[pair[1]]}
 
 
 @pytest.mark.parametrize(

@@ -43,7 +43,10 @@ REFUSALS = {
         "not a canonical dotted-quad network address: '10.0.0.01'",
     ),
     "link-address": (lambda: link_address("zz"), "bad link-layer address: 'zz'"),
+    "address-link-type": (lambda: Address("1.2.3.4", 5), "bad link-layer address: 5"),
     "packet": (lambda: Packet(EXT, INT, ttl=256), "ttl out of range: 256"),
+    "packet-proto-type": (lambda: Packet(EXT, INT, proto="6"), "proto out of range: '6'"),
+    "packet-ttl-type": (lambda: Packet(EXT, INT, ttl=None), "ttl out of range: None"),
     "rule-field": (
         lambda: FilterRule(RuleAction.ALLOW, "a", "b", proto=300),
         "proto out of range: 300",
@@ -62,6 +65,14 @@ REFUSALS = {
         lambda: Mutation("f", "flip", offset=9).apply(b"ab"),
         "flip offset 9 beyond end of f (2 bytes)",
     ),
+    "mutation-offset-type": (
+        lambda: Mutation("f", "flip", offset="1").apply(b"ab"),
+        "mutation offset must be an integer: '1'",
+    ),
+    "mutation-data-type": (
+        lambda: Mutation("f", "append", data="x").apply(b"ab"),
+        "mutation data must be bytes: 'x'",
+    ),
     "fault": (
         lambda: Fault(FaultName.ACCEPT_ANY_PASSWORD, "x"),
         "fault accept_any_password takes no parameter",
@@ -71,6 +82,10 @@ REFUSALS = {
     "variant": (
         lambda: ProcedureVariant("r1", "a", time=-1, cost=0),
         "r1/a: negative time or cost",
+    ),
+    "variant-type": (
+        lambda: ProcedureVariant("r1", "a", time="1", cost=0),
+        "r1/a: time and cost must be integers: '1', 0",
     ),
     "outcome": (
         lambda: ProcedureOutcome(1, (CriterionResult("a", 0),)),
