@@ -26,6 +26,7 @@ _OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _NET_RE = re.compile(rf"{_OCTET}(?:\.{_OCTET}){{3}}")
 _BYTES = frozenset(range(256))  # a packet's proto or ttl
 _FIELD_VALUES = _BYTES | {None}  # a requested proto or ttl; None: not given
+_FIELD_TYPES = (int, type(None))
 
 DEFAULT_PROTO = 6
 DEFAULT_TTL = 64
@@ -113,18 +114,22 @@ class Packet:
     ingress: Segment = Segment.EXTERNAL
 
     def __post_init__(self):
-        if not (self.proto in _BYTES and self.ttl in _BYTES):
-            raise Refused(packet_field_problem(self.proto, self.ttl, _BYTES))
+        proto, ttl = self.proto, self.ttl
+        if not (type(proto) is int and proto in _BYTES and type(ttl) is int and ttl in _BYTES):
+            raise Refused(packet_field_problem(proto, ttl, _BYTES))
 
 
 def packet_field_problem(
     proto: int | None, ttl: int | None, values: Collection = _FIELD_VALUES
 ) -> str | None:
-    """Why a proto or ttl is not among `values` (0..255, or None: not given), or None."""
-    if proto in values and ttl in values:
+    """Why a proto or ttl is not an int among `values` (0..255, or None: not given), or None."""
+    # Each type test comes first: it keeps out bools, floats and unhashable values.
+    proto_ok = type(proto) in _FIELD_TYPES and proto in values
+    ttl_ok = type(ttl) in _FIELD_TYPES and ttl in values
+    if proto_ok and ttl_ok:
         return None
-    given = (("proto", proto), ("ttl", ttl))
-    return "; ".join(f"{k} out of range: {v!r}" for k, v in given if v not in values)
+    given = (("proto", proto, proto_ok), ("ttl", ttl, ttl_ok))
+    return "; ".join(f"{k} out of range: {v!r}" for k, v, ok in given if not ok)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Sequence
 
 from .errors import Refused, ScenarioParseError, ScenarioValidationError
@@ -49,21 +50,13 @@ from .formal import (
 from .optimizer import ProcedureVariant, duplicate_variant_problem
 from .testbench import (
     Host, TrafficSpec, account_problem, attempt_coverage_problem, endpoint_problems,
-    filter_level_problem, monitored_file_problem, mutation_problems, topology_problems,
+    filter_level_problem, monitored_file_problem, replay_mutations, topology_problems,
     traffic_problems,
 )
 
 _SECTIONS = (
-    "profile",
-    "topology",
-    "rules",
-    "traffic",
-    "accounts",
-    "files",
-    "mutations",
-    "attempts",
-    "variants",
-    "faults",
+    "profile", "topology", "rules", "traffic", "accounts",
+    "files", "mutations", "attempts", "variants", "faults",
 )
 
 
@@ -138,35 +131,92 @@ def _option_fields(tokens: Sequence[str]) -> dict:
     return fields
 
 
+@cache
+def _form(usage: str) -> tuple[frozenset[str], int, float]:
+    """The keywords a usage text names and its least and most token counts: a
+    `[...]` or `...` word is optional, and `[options]` takes any number."""
+    words = usage.split()
+    least = sum(not (word.startswith("[") or word == "...") for word in words)
+    most = float("inf") if words[-1] == "[options]" else len(words)
+    return frozenset(words[0].split("|")), least, most
+
+
+def _tokens(line: str, usage: str, tail: bool = False) -> list[str]:
+    """A line's tokens if they fit `usage`, else ``expected: <usage>``; `tail` keeps the rest."""
+    keywords, least, most = _form(usage)
+    tokens = line.split(None, most - 1 if tail else -1)
+    if tokens[0] not in keywords or not least <= len(tokens) <= most:
+        raise ValueError(f"expected: {usage}")
+    return tokens
+
+
+def _on_off(text: str) -> bool:
+    if text not in ("on", "off"):
+        raise ValueError(f"expected on or off: {text!r}")
+    return text == "on"
+
+
+def _auth_mode(text: str) -> AuthMode | None:
+    if text not in ("local", "remote", "none"):
+        raise ValueError(f"auth must be local, remote or none: {text!r}")
+    return None if text == "none" else AuthMode(text)
+
+
+def _words(text: str) -> tuple[str, ...]:
+    return tuple(text.split())
+
+
+def _filter_fields(text: str) -> tuple[str, ...]:
+    names = () if text == "none" else _words(text)
+    bad = [n for n in names if n not in ("proto", "ttl")]
+    if bad:
+        raise ValueError(f"filter-fields accepts proto and ttl: {bad}")
+    return names
+
+
+# Each [profile] key: the `Scenario` or `Capabilities` field it sets, and its value's reader.
+_PROFILE_KEYS = {
+    "name": ("name", str),
+    "claims": ("claims", _words),
+    "requirements": ("requirements", _words),
+    "auth": ("auth_mode", _auth_mode),
+    "link-layer": ("link_layer", _on_off),
+    "filter-fields": ("filter_fields", _filter_fields),
+    "integrity-trigger": ("integrity_trigger", _on_off),
+    "seed": ("seed", int),
+    "management": ("management", lambda text: Address(text).net),
+}
+_CAPABILITY_FIELDS = tuple(Capabilities.__dataclass_fields__)
+
+
 class _Parser:
     """Reads syntax only; each record is filed under its `Scenario` field."""
 
     def __init__(self):
         self.problems: list[str] = []
         self.fields: dict = {}
-        self.capabilities: dict = {}
         self.records: defaultdict[str, list] = defaultdict(list)
 
     def fail(self, line_no: int, message: str) -> None:
         self.problems.append(f"line {line_no}: {message}")
 
     def feed(self, text: str) -> None:
-        section = None
+        read = None  # the open section's method
         for line_no, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if line.startswith("[") and line.endswith("]"):
                 section = line[1:-1]
-                if section not in _SECTIONS:
+                read = getattr(self, f"_{section}") if section in _SECTIONS else None
+                if read is None:
                     self.fail(line_no, f"unknown section [{section}]")
-                    section = None
                 continue
-            if section is None:
+            if read is None:
                 self.fail(line_no, f"directive outside any section: {line!r}")
                 continue
             try:
-                getattr(self, f"_{section}")(line)
+                read(line)
             except ValueError as exc:
                 self.fail(line_no, str(exc))
 
@@ -177,149 +227,84 @@ class _Parser:
         rest = rest.strip()
         if not rest:
             raise ValueError(f"profile directive {key!r} needs a value")
-        if key == "name":
-            self.fields["name"] = rest
-        elif key == "claims":
-            self.fields["claims"] = tuple(rest.split())
-        elif key == "requirements":
-            self.fields["requirements"] = tuple(rest.split())
-        elif key == "auth":
-            if rest == "none":
-                self.capabilities["auth_mode"] = None
-            else:
-                try:
-                    self.capabilities["auth_mode"] = AuthMode(rest)
-                except ValueError:
-                    raise ValueError(f"auth must be local, remote or none: {rest!r}") from None
-        elif key == "link-layer":
-            self.capabilities["link_layer"] = _on_off(rest)
-        elif key == "filter-fields":
-            if rest == "none":
-                self.capabilities["filter_fields"] = ()
-            else:
-                names = tuple(rest.split())
-                bad = [n for n in names if n not in ("proto", "ttl")]
-                if bad:
-                    raise ValueError(f"filter-fields accepts proto and ttl: {bad}")
-                self.capabilities["filter_fields"] = names
-        elif key == "integrity-trigger":
-            self.capabilities["integrity_trigger"] = _on_off(rest)
-        elif key == "seed":
-            self.fields["seed"] = int(rest)
-        elif key == "management":
-            self.fields["management"] = str(Address(rest).net)
-        else:
+        if key not in _PROFILE_KEYS:
             raise ValueError(f"unknown profile directive {key!r}")
+        field, read = _PROFILE_KEYS[key]
+        self.fields[field] = read(rest)
 
     def _topology(self, line: str) -> None:
-        tokens = line.split()
-        if tokens[0] not in ("external", "internal") or len(tokens) not in (3, 4):
-            raise ValueError("expected: external|internal <name> <address> [<mac>]")
-        _, name, net, *mac = tokens
-        self.records[tokens[0]].append(Host(name, Address(net, mac[0] if mac else None)))
+        segment, name, net, *mac = _tokens(line, "external|internal <name> <address> [<mac>]")
+        self.records[segment].append(Host(name, Address(net, *mac)))
 
     def _rules(self, line: str) -> None:
-        tokens = line.split()
-        if tokens[0] not in ("allow", "deny") or len(tokens) < 3:
-            raise ValueError("expected: allow|deny <src-host> <dst-host> [options]")
-        fields = _option_fields(tokens[3:])
+        action, src, dst, *options = _tokens(line, "allow|deny <src-host> <dst-host> [options]")
+        fields = _option_fields(options)
         if "ttl" in fields:
             lo, sep, hi = fields.pop("ttl").partition("-")
             fields.update(ttl_min=int(lo), ttl_max=int(hi if sep else lo))
         rules = self.records["rules"]
         # Endpoints are host names; swapped for addresses after topology checks.
-        rules.append(
-            FilterRule(RuleAction(tokens[0]), tokens[1], tokens[2], order=len(rules), **fields)
-        )
+        rules.append(FilterRule(RuleAction(action), src, dst, order=len(rules), **fields))
 
     def _traffic(self, line: str) -> None:
-        tokens = line.split()
-        if tokens[0] != "packet" or len(tokens) < 3:
-            raise ValueError("expected: packet <src-host> <dst-host> [options]")
-        fields = _option_fields(tokens[3:])
+        _, src, dst, *options = _tokens(line, "packet <src-host> <dst-host> [options]")
+        fields = _option_fields(options)
         if "ttl" in fields:
             fields["ttl"] = int(fields["ttl"])
-        self.records["traffic"].append(TrafficSpec(tokens[1], tokens[2], **fields))
+        self.records["traffic"].append(TrafficSpec(src, dst, **fields))
 
     def _accounts(self, line: str) -> None:
-        tokens = line.split(None, 2)
-        if tokens[0] != "account" or len(tokens) != 3:
-            raise ValueError("expected: account <identifier> <password>")
-        self.records["accounts"].append(AdminAccount(tokens[1], tokens[2]))
+        _, identifier, password = _tokens(line, "account <identifier> <password>", tail=True)
+        self.records["accounts"].append(AdminAccount(identifier, password))
 
     def _files(self, line: str) -> None:
-        tokens = line.split(None, 2)
-        if tokens[0] != "file" or len(tokens) != 3:
-            raise ValueError("expected: file <id> text:...|hex:...")
-        self.records["files"].append(FileArtifact(tokens[1], _payload(tokens[2])))
+        _, file_id, payload = _tokens(line, "file <id> text:...|hex:...", tail=True)
+        self.records["files"].append(FileArtifact(file_id, _payload(payload)))
 
     def _mutations(self, line: str) -> None:
-        tokens = line.split(None, 3)
-        if tokens[0] != "mutate" or len(tokens) < 3:
-            raise ValueError("expected: mutate <file-id> flip|append|replace|none ...")
-        _, file_id, kind = tokens[:3]
-        rest = tokens[3] if len(tokens) > 3 else None
-        if kind == "none" and rest is not None:
+        usage = "mutate <file-id> flip|append|replace|none ..."
+        _, file_id, kind, *rest = _tokens(line, usage, tail=True)
+        if kind == "none" and rest:
             raise ValueError("mutate ... none takes no argument")
         fields = {}
         if kind == "flip":
-            if rest is None:
+            if not rest:
                 raise ValueError("mutate ... flip needs a byte offset")
-            fields["offset"] = int(rest)
+            fields["offset"] = int(rest[0])
         elif kind in ("append", "replace"):
-            if rest is None:
+            if not rest:
                 raise ValueError(f"mutate ... {kind} needs a payload")
-            fields["data"] = _payload(rest)
+            fields["data"] = _payload(rest[0])
         self.records["mutations"].append(Mutation(file_id, kind, **fields))
 
     def _attempts(self, line: str) -> None:
-        tokens = line.split(None, 2)
-        if tokens[0] != "attempt" or len(tokens) != 3:
-            raise ValueError("expected: attempt <identifier> <password>")
-        self.records["attempts"].append((tokens[1], tokens[2]))
+        _, identifier, password = _tokens(line, "attempt <identifier> <password>", tail=True)
+        self.records["attempts"].append((identifier, password))
 
     def _variants(self, line: str) -> None:
-        tokens = line.split()
-        if tokens[0] == "budget":
-            if len(tokens) != 2:
-                raise ValueError("expected: budget <amount>|unlimited")
-            if tokens[1] == "unlimited":
-                self.fields["budget"] = None
-            else:
-                self.fields["budget"] = int(tokens[1])
+        if line.split(None, 1)[0] == "budget":
+            _, amount = _tokens(line, "budget <amount>|unlimited")
+            self.fields["budget"] = None if amount == "unlimited" else int(amount)
             return
-        if tokens[0] != "variant" or len(tokens) != 5:
-            raise ValueError("expected: variant <requirement> <id> time=N cost=N")
+        _, rid, vid, *options = _tokens(line, "variant <requirement> <id> time=N cost=N")
         # Two tokens, each key allowed once: both time= and cost= are set.
-        options = _kv_pairs(tokens[3:], ("time", "cost"))
+        options = _kv_pairs(options, ("time", "cost"))
         self.records["variants"].append(
-            ProcedureVariant(
-                requirement_id=tokens[1],
-                variant_id=tokens[2],
-                time=int(options["time"]),
-                cost=int(options["cost"]),
-            )
+            ProcedureVariant(rid, vid, int(options["time"]), int(options["cost"]))
         )
 
     def _faults(self, line: str) -> None:
-        tokens = line.split()
-        if tokens[0] != "inject" or len(tokens) != 2:
-            raise ValueError("expected: inject <fault-spec>")
-        self.records["faults"].append(Fault.parse(tokens[1]))
+        _, spec = _tokens(line, "inject <fault-spec>")
+        self.records["faults"].append(Fault.parse(spec))
 
     def build(self) -> Scenario:
         if self.problems:
             raise ScenarioParseError(self.problems)
         fields = {name: tuple(records) for name, records in self.records.items() if records}
-        fields.update(self.fields, capabilities=Capabilities(**self.capabilities))
+        capabilities = {k: self.fields.pop(k) for k in _CAPABILITY_FIELDS if k in self.fields}
+        fields.update(self.fields, capabilities=Capabilities(**capabilities))
         fields.setdefault("requirements", fields.get("claims", ()))
         return Scenario(**fields)
-
-
-def _on_off(token: str) -> bool:
-    if token not in ("on", "off"):
-        raise ValueError(f"expected on or off: {token!r}")
-    return token == "on"
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -391,7 +376,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         say(attempt_coverage_problem(scenario.attempts, scenario.accounts))
 
     contents = {f.file_id: f.content for f in scenario.files}
-    problems += mutation_problems(contents, scenario.mutations)
+    problems += replay_mutations(contents, scenario.mutations)[1]
 
     say(duplicate_variant_problem(scenario.variants))
     stray = sorted({v.requirement_id for v in scenario.variants} - set(scenario.claims))

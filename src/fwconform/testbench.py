@@ -73,7 +73,7 @@ class TrafficSpec:
 
 
 class Testbench:
-    """Mutable bench state: hosts, loaded rules and accounts, product, inside tap, probe RNG."""
+    """Mutable bench state: hosts, loaded rules, accounts and files, product, inside tap, RNG."""
 
     __test__ = False  # not a pytest case, despite the name
 
@@ -89,14 +89,16 @@ class Testbench:
         faults: Sequence[Fault] = (),
         seed: int = 0,
     ):
-        # The rule set (in `order` order) and the accounts as loaded.
-        # Evidence and probes read these copies, never the product's, so
-        # the verdict's expected side does not depend on the product.  The
-        # product is built first: its refusals precede the topology checks.
+        # The rule set (in `order` order), the accounts and the files as
+        # loaded.  Evidence and probes read these copies, never the
+        # product's, so the verdict's expected side does not depend on the
+        # product.  The product is built first: its refusals precede the
+        # topology checks.
         self.rules = tuple(sorted(rules, key=lambda r: r.order))
         self.accounts = tuple(accounts)
         loaded = (self.rules, self.accounts, files, auth_mode, management)
         self.fw = FaultyFirewall(*loaded, faults=faults) if faults else Firewall(*loaded)
+        self.files = {f.file_id: f.content for f in files}
         outside = {h.address.net for h in external}
         inside = {h.address.net for h in internal}
         refuse(
@@ -456,8 +458,10 @@ def monitored_file_problem(files: Collection[object]) -> str | None:
     return None if files else "no files to monitor"
 
 
-def mutation_problems(contents: Mapping[str, bytes], mutations: Sequence[Mutation]) -> list[str]:
-    """Why each mutation, replayed in order on a copy of `contents`, cannot apply."""
+def replay_mutations(
+    contents: Mapping[str, bytes], mutations: Sequence[Mutation]
+) -> tuple[dict[str, bytes], list[str]]:
+    """A copy of `contents` with `mutations` replayed in order, and why each that cannot apply."""
     contents = dict(contents)
     problems = []
     for i, m in enumerate(mutations, start=1):
@@ -468,7 +472,7 @@ def mutation_problems(contents: Mapping[str, bytes], mutations: Sequence[Mutatio
             contents[m.file_id] = m.apply(contents[m.file_id])
         except Refused as exc:
             problems.append(f"mutation {i}: {exc}")
-    return problems
+    return contents, problems
 
 
 def run_integrity_procedure(
@@ -477,12 +481,15 @@ def run_integrity_procedure(
     """Baseline every monitored file, edit some, trigger the check.
 
     Every mutation is checked before any file is touched.  Ground truth
-    is whether the bytes actually changed, so a mutation that happens to
-    restore the original content counts as unmodified.
+    comes from the bench's own replay of the mutations on its copy of
+    the files, not from the product: a file counts as modified when the
+    replayed bytes differ, so a mutation that happens to restore the
+    original content counts as unmodified.
     """
     fw = bench.fw
-    before = fw.files
-    refuse(monitored_file_problem(before), *mutation_problems(before, mutations))
+    before = bench.files
+    replayed, problems = replay_mutations(before, mutations)
+    refuse(monitored_file_problem(before), *problems)
     fw.activate_integrity()
     for mutation in mutations:
         fw.modify_file(mutation)
@@ -495,7 +502,7 @@ def run_integrity_procedure(
             file_id=fid,
             baseline_digest=digest(before[fid]),
             final_digest=digest(after[fid]),
-            modified=int(after[fid] != before[fid]),
+            modified=int(replayed[fid] != before[fid]),
             detected=report[fid],
         )
         for fid in before

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fwconform.testbench
+from _products import IgnoresWrites
 from test_acceptance import ATTRIBUTION
 from fwconform.campaign import child_seed, run_campaign
 from fwconform.errors import FwconformError, Infeasible, ScenarioValidationError
@@ -137,6 +139,21 @@ def test_two_faults_on_disjoint_requirements_fail_the_union_of_their_rows(pair):
             failed[rec.procedure.requirement_id] = broken
     assert report.metadata.faults == pair
     assert failed == {**ATTRIBUTION[pair[0]], **ATTRIBUTION[pair[1]]}
+
+
+def test_a_product_that_ignores_writes_fails_only_the_detection_criterion(monkeypatch):
+    monkeypatch.setattr(fwconform.testbench, "Firewall", IgnoresWrites)
+    report = run_campaign(load_scenario(str(REFERENCE)))
+    failed = {
+        (rec.procedure.requirement_id, c.label, c.detail)
+        for rec in report.procedures
+        for c in rec.outcome.criteria
+        if c.bit == 0
+    }
+    assert not report.campaign.conform
+    assert failed == {
+        ("r3", "detections-match-modifications", "unflagged edit(s): screen.conf, engine.bin")
+    }
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,41 @@
+"""The documents list every fault kind, profile key and requirement the code has."""
+
+import re
+from pathlib import Path
+
+from fwconform.firewall import FaultName
+from fwconform.formal import ALL_REQUIREMENTS
+from fwconform.scenario import _PROFILE_KEYS
+
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+FORMAT = (ROOT / "docs" / "scenario-format.md").read_text(encoding="utf-8")
+
+
+def _section(text: str, heading: str) -> str:
+    """The body under `heading`, up to the next heading of any level."""
+    body = text.split(f"\n{heading}\n", 1)[1]
+    return re.split(r"\n#+ ", body, maxsplit=1)[0]
+
+
+def _matches(text: str, pattern: str) -> set[str]:
+    return set(re.findall(pattern, text, flags=re.MULTILINE))
+
+
+def test_every_fault_kind_is_in_the_inject_list_and_the_faults_section():
+    inject_list = _section(README, "## Fault injection").split("```")[1]
+    listed = _matches(inject_list, r"^(\w+)")
+    in_format = _matches(_section(FORMAT, "## [faults]"), r"`(\w+)[:`]")
+    kinds = {name.value for name in FaultName}
+    assert kinds <= listed
+    assert kinds <= in_format
+
+
+def test_every_profile_key_has_a_row_in_the_profile_table():
+    rows = _matches(_section(FORMAT, "## [profile]"), r"^\| `([\w-]+)")
+    assert set(_PROFILE_KEYS) <= rows
+
+
+def test_every_requirement_has_a_row_in_the_catalog_table():
+    rows = _matches(README, r"^\| `([\w-]+)` \|")
+    assert set(ALL_REQUIREMENTS) <= rows

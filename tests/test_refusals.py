@@ -47,6 +47,19 @@ REFUSALS = {
     "packet": (lambda: Packet(EXT, INT, ttl=256), "ttl out of range: 256"),
     "packet-proto-type": (lambda: Packet(EXT, INT, proto="6"), "proto out of range: '6'"),
     "packet-ttl-type": (lambda: Packet(EXT, INT, ttl=None), "ttl out of range: None"),
+    "packet-proto-bool": (lambda: Packet(EXT, INT, proto=True), "proto out of range: True"),
+    "packet-ttl-float": (lambda: Packet(EXT, INT, ttl=64.0), "ttl out of range: 64.0"),
+    "packet-proto-unhashable": (lambda: Packet(EXT, INT, proto=[6]), "proto out of range: [6]"),
+    "rule-proto-float": (
+        lambda: FilterRule(RuleAction.ALLOW, "a", "b", proto=6.0),
+        "proto out of range: 6.0",
+    ),
+    "rule-ttl-unhashable": (
+        lambda: FilterRule(RuleAction.ALLOW, "a", "b", ttl_min=[1]),
+        "ttl out of range: [1]",
+    ),
+    "traffic-ttl-bool": (lambda: TrafficSpec("a", "b", ttl=True), "ttl out of range: True"),
+    "traffic-proto-unhashable": (lambda: TrafficSpec("a", "b", proto={}), "proto out of range: {}"),
     "rule-field": (
         lambda: FilterRule(RuleAction.ALLOW, "a", "b", proto=300),
         "proto out of range: 300",

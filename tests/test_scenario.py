@@ -223,6 +223,19 @@ _BAD_LINES = {
     "flip-offset": ("mutations", "mutate x flip", "mutate ... flip needs a byte offset"),
     "append-payload": ("mutations", "mutate x append", "mutate ... append needs a payload"),
     "mutation-kind": ("mutations", "mutate x chop 3", "unknown mutation kind 'chop'"),
+    "profile-key": ("profile", "stance strict", "unknown profile directive 'stance'"),
+    "management": (
+        "profile", "management bogus", "not a canonical dotted-quad network address: 'bogus'"
+    ),
+    "foreign-keyword": ("files", "account alice pw", "expected: file <id> text:...|hex:..."),
+    "rule-arity": ("rules", "allow probe", "expected: allow|deny <src-host> <dst-host> [options]"),
+    "topology-arity": (
+        "topology",
+        "external a 1.2.3.4 02:00:00:00:00:01 extra",
+        "expected: external|internal <name> <address> [<mac>]",
+    ),
+    "budget-amount": ("variants", "budget lots", "invalid literal for int() with base 10: 'lots'"),
+    "inject-arity": ("faults", "inject", "expected: inject <fault-spec>"),
 }
 
 
