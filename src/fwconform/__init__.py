@@ -69,5 +69,4 @@ from .verdict import (
     evaluate_auth_criteria,
     evaluate_filter_criteria,
     evaluate_integrity_criteria,
-    project,
 )

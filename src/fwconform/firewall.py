@@ -333,7 +333,8 @@ def fault_problem(
 
 def duplicate_problem(noun: str, keys: Iterable[Hashable]) -> str | None:
     """``duplicate <noun>: …`` naming each key given more than once, or None."""
-    dup = sorted(key for key, count in Counter(keys).items() if count > 1)
+    keys = list(keys)
+    dup = len(set(keys)) < len(keys) and sorted(k for k, n in Counter(keys).items() if n > 1)
     return f"duplicate {noun}: {', '.join(map(str, dup))}" if dup else None
 
 

@@ -44,8 +44,11 @@ from types import UnionType
 from typing import Callable, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 from .errors import Refused, ReportFormatError, refuse
-from .firewall import Address
-from .formal import CampaignVerdict, ProcedureOutcome, RequirementKind, TestProcedure
+from .firewall import Address, duplicate_problem
+from .formal import (
+    ALL_REQUIREMENTS, FILTER_LEVELS, CampaignVerdict, ProcedureOutcome, RequirementKind,
+    TestProcedure, aggregate_verdict, scope_problems,
+)
 from .optimizer import CampaignPlan
 from .testbench import AuthEvidence, FilterEvidence, IntegrityEvidence
 
@@ -87,6 +90,10 @@ class Report:
 
 _RENAMES = {"requirement_id": "requirement", "variant_id": "variant"}
 _EVIDENCE_TAGS = {"filter": FilterEvidence, "auth": AuthEvidence, "integrity": IntegrityEvidence}
+_TAGS = {cls: tag for tag, cls in _EVIDENCE_TAGS.items()}
+# The evidence each kind's procedure returns: its tag, with a filter kind's level.
+_KIND_FORMS = {kind: f"{level.value}-level filter" for kind, level in FILTER_LEVELS.items()}
+_KIND_FORMS |= {RequirementKind.ADMIN_AUTH: "auth", RequirementKind.INTEGRITY_CONTROL: "integrity"}
 _JSON_NAMES = {str: "string", int: "integer", list: "array", dict: "object", type(None): "null"}
 _SURROGATE_PAIR = re.compile(r"[\ud800-\udbff][\udc00-\udfff]")
 # Distinct addresses each `Address` cache keeps.  The largest benchmark report
@@ -288,10 +295,23 @@ def report_from_dict(data: dict) -> Report:
         schema = data.get("schema")
         refuse(schema != SCHEMA and f"unknown report schema {schema!r}")
         report = _codec(Report, 0).decode(data)
-        rows = {rid: (claimed, upheld) for rid, claimed, upheld in report.campaign.pairs}
-        for rec in report.procedures:
-            if rows.get(rec.procedure.requirement_id) != (rec.claim, rec.outcome.passed):
+        pairs, ids = report.campaign.pairs, [r.procedure.requirement_id for r in report.procedures]
+        refuse(*scope_problems((), [rid for rid, _, _ in pairs]))
+        rows = {rid: (claimed, upheld) for rid, claimed, upheld in pairs}
+        for rid, rec in zip(ids, report.procedures):
+            if rows.get(rid) != (rec.claim, rec.outcome.passed):
                 raise Refused(f"{rec.procedure.id}: claim or passed bit differs from its pairs row")
+            kind, ev = ALL_REQUIREMENTS[rid].kind, rec.evidence
+            form = _TAGS[type(ev)]
+            form = f"{ev.level.value}-level {form}" if form == "filter" else form
+            if (rec.kind, form) != (kind, _KIND_FORMS[kind]):
+                got = f"{rec.kind.value} record with {form} evidence"
+                want = f"{kind.value} record with {_KIND_FORMS[kind]} evidence"
+                raise Refused(f"{rec.procedure.id}: {got}, expected {want}")
+        # One record per requirement, and one for each claimed row.
+        refuse(duplicate_problem("requirement record(s)", ids))
+        outcomes = {rid: rec.outcome for rid, rec in zip(ids, report.procedures)}
+        aggregate_verdict([(ALL_REQUIREMENTS[rid], claimed) for rid, claimed, _ in pairs], outcomes)
         return report
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ReportFormatError(f"malformed report: {exc}") from None

@@ -121,10 +121,13 @@ def _kv_pairs(tokens: Sequence[str], allowed: Sequence[str]) -> dict[str, str]:
 # [rules] and [traffic] options and the record fields they set; the
 # records check the values themselves.
 _OPTION_FIELDS = {"src-mac": "src_link", "dst-mac": "dst_link", "proto": "proto", "ttl": "ttl"}
+_OPTION_KEYS = tuple(_OPTION_FIELDS)
 
 
 def _option_fields(tokens: Sequence[str]) -> dict:
-    options = _kv_pairs(tokens, tuple(_OPTION_FIELDS))
+    if not tokens:
+        return {}
+    options = _kv_pairs(tokens, _OPTION_KEYS)
     fields = {_OPTION_FIELDS[k]: v for k, v in options.items()}
     if "proto" in fields:
         fields["proto"] = int(fields["proto"])

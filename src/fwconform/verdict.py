@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import attrgetter, itemgetter
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple
 
 from .errors import Refused
 from .formal import CriterionResult, FilterLevel
@@ -59,15 +59,6 @@ def _clip(items: list, limit: int = 4) -> str:
     if len(items) > limit:
         shown += f", and {len(items) - limit} more"
     return shown
-
-
-def project(item: Union[Packet, FilterRule, JournalEntry]) -> tuple[str, str]:
-    """Reduce a packet, rule or journal entry to its (sender, recipient) pair."""
-    if isinstance(item, Packet):
-        return (item.src.net, item.dst.net)
-    if isinstance(item, FilterRule):
-        return (item.src, item.dst)
-    return (item.subject[0], item.subject[1])
 
 
 # Each probe's comparison key by level: the tuple grows with the screening
@@ -113,7 +104,7 @@ def _ledger_columns(evidence: FilterEvidence) -> tuple[list, list, list, list]:
     """The probe ledger as four columns in probe order: pairs, keys, rules, delivered."""
     by_pair: dict[tuple[str, str], list[FilterRule]] = {}
     for rule in sorted(evidence.rules, key=attrgetter("order")):
-        by_pair.setdefault(project(rule), []).append(rule)
+        by_pair.setdefault((rule.src, rule.dst), []).append(rule)
     packets = evidence.packet_in
     tags = list(map(attrgetter("payload_tag"), packets))
     out_tags = set(map(attrgetter("payload_tag"), evidence.packet_out))
@@ -135,8 +126,16 @@ def probe_ledger(evidence: FilterEvidence) -> tuple[ProbeRow, ...]:
 
 
 def _journal_pairs(entries: Iterable[JournalEntry]) -> PairSet:
-    # `project` on each entry: the first two subject fields.
+    # Each entry's (sender, recipient): the first two subject fields.
     return PairSet(map(itemgetter(0, 1), map(attrgetter("subject"), entries)))
+
+
+def _criteria(*rows: tuple[str, bool, str, str]) -> tuple[CriterionResult, ...]:
+    """One result per (label, holds, detail when it holds, detail when it fails) row."""
+    return tuple(
+        CriterionResult(label, int(holds), passing if holds else failing)
+        for label, holds, passing, failing in rows
+    )
 
 
 def evaluate_filter_criteria(evidence: FilterEvidence) -> tuple[CriterionResult, ...]:
@@ -172,78 +171,46 @@ def evaluate_filter_criteria(evidence: FilterEvidence) -> tuple[CriterionResult,
         (JOURNAL_MATCHES_FORWARD, logged_allowed, out_pairs, "journaled pass pair(s)", ""),
         (JOURNAL_MATCHES_DROP, logged_denied, blocked_pairs, "journaled block pair(s)", ""),
     )
-    results = []
+    rows = []
     for label, got, want, noun, suffix in equations:
-        bit = int(got == want)
-        detail = f"{len(got)} {noun}" if bit else got.mismatch(want)
-        results.append(CriterionResult(label, bit, detail + suffix))
-    return tuple(results)
+        agree = got == want
+        witness = "" if agree else got.mismatch(want)
+        rows.append((label, agree, f"{len(got)} {noun}{suffix}", witness + suffix))
+    return _criteria(*rows)
 
 
 def evaluate_auth_criteria(evidence: AuthEvidence) -> tuple[CriterionResult, ...]:
     """Sign-on acceptance: grant decisions, journal completeness, capture hygiene."""
-    if not evidence.attempts:
+    attempts = evidence.attempts
+    if not attempts:
         raise Refused("no sign-on attempts recorded")
     registered = {(a.identifier, a.password) for a in evidence.accounts}
-
-    wrongly_rejected = [
-        i
-        for i, a in enumerate(evidence.attempts)
-        if (a.identifier, a.password) in registered and not a.granted
-    ]
-    wrongly_accepted = [
-        i
-        for i, a in enumerate(evidence.attempts)
-        if (a.identifier, a.password) not in registered and a.granted
-    ]
-    results = [
-        CriterionResult(
-            REGISTERED_ACCEPTED,
-            int(not wrongly_rejected),
-            "every registered sign-on granted"
-            if not wrongly_rejected
-            else f"attempt(s) {wrongly_rejected} refused despite registered credentials",
-        ),
-        CriterionResult(
-            UNREGISTERED_REJECTED,
-            int(not wrongly_accepted),
-            "every unregistered sign-on refused"
-            if not wrongly_accepted
-            else f"attempt(s) {wrongly_accepted} granted on unregistered credentials",
-        ),
-    ]
-
+    known = [(a.identifier, a.password) in registered for a in attempts]
+    refused = [i for i, (a, ok) in enumerate(zip(attempts, known)) if ok and not a.granted]
+    granted = [i for i, (a, ok) in enumerate(zip(attempts, known)) if a.granted and not ok]
     expected_log = [
         (JournalEvent.AUTH_ACCEPTED if a.granted else JournalEvent.AUTH_REJECTED, (a.identifier,))
-        for a in evidence.attempts
+        for a in attempts
     ]
-    auth_entries = [(e.event, e.subject) for e in evidence.journal if e.event in AUTH_EVENTS]
+    journaled = [(e.event, e.subject) for e in evidence.journal if e.event in AUTH_EVENTS]
     seqs = [e.seq for e in evidence.journal]
     ordered = seqs == sorted(seqs)
-    bit = int(auth_entries == expected_log and ordered)
-    if bit:
-        detail = f"{len(auth_entries)} attempt(s) journaled in order"
-    elif not ordered:
-        detail = "journal sequence numbers out of order"
-    else:
-        detail = (
-            f"journal holds {len(auth_entries)} sign-on record(s) "
-            f"for {len(expected_log)} attempt(s)"
-        )
-    results.append(CriterionResult(ATTEMPTS_JOURNALED, bit, detail))
-
-    bit = int(not evidence.findings)
-    if bit:
-        detail = (
-            f"{len(evidence.captures)} captured packet(s), no credential in the clear"
-            if evidence.captures
-            else "local console sign-on, nothing crosses a segment"
-        )
-    else:
-        spots = sorted({(f.account_id, f.piece) for f in evidence.findings})
-        detail = "in the clear: " + ", ".join(f"{a} {p}" for a, p in spots)
-    results.append(CriterionResult(NO_PLAINTEXT_CREDENTIALS, bit, detail))
-    return tuple(results)
+    spots = sorted({(f.account_id, f.piece) for f in evidence.findings})
+    captured = len(evidence.captures)
+    return _criteria(
+        (REGISTERED_ACCEPTED, not refused, "every registered sign-on granted",
+         f"attempt(s) {refused} refused despite registered credentials"),
+        (UNREGISTERED_REJECTED, not granted, "every unregistered sign-on refused",
+         f"attempt(s) {granted} granted on unregistered credentials"),
+        (ATTEMPTS_JOURNALED, ordered and journaled == expected_log,
+         f"{len(journaled)} attempt(s) journaled in order",
+         f"journal holds {len(journaled)} sign-on record(s) for {len(attempts)} attempt(s)"
+         if ordered else "journal sequence numbers out of order"),
+        (NO_PLAINTEXT_CREDENTIALS, not spots,
+         f"{captured} captured packet(s), no credential in the clear"
+         if captured else "local console sign-on, nothing crosses a segment",
+         "in the clear: " + ", ".join(f"{a} {p}" for a, p in spots)),
+    )
 
 
 def evaluate_integrity_criteria(evidence: IntegrityEvidence) -> tuple[CriterionResult, ...]:
@@ -255,15 +222,10 @@ def evaluate_integrity_criteria(evidence: IntegrityEvidence) -> tuple[CriterionR
         raise Refused("no file check records")
     missed = [r.file_id for r in evidence.files if r.modified and not r.detected]
     false_alarms = [r.file_id for r in evidence.files if r.detected and not r.modified]
-    bit = int(not missed and not false_alarms)
-    if bit:
-        edited = sum(r.modified for r in evidence.files)
-        detail = f"{len(evidence.files)} file(s) checked, {edited} edit(s) flagged"
-    else:
-        parts = []
-        if missed:
-            parts.append(f"unflagged edit(s): {', '.join(missed)}")
-        if false_alarms:
-            parts.append(f"false alarm(s): {', '.join(false_alarms)}")
-        detail = "; ".join(parts)
-    return (CriterionResult(DETECTIONS_MATCH, bit, detail),)
+    edited = sum(r.modified for r in evidence.files)
+    wrong = (("unflagged edit(s)", missed), ("false alarm(s)", false_alarms))
+    return _criteria(
+        (DETECTIONS_MATCH, not missed and not false_alarms,
+         f"{len(evidence.files)} file(s) checked, {edited} edit(s) flagged",
+         "; ".join(f"{what}: {', '.join(ids)}" for what, ids in wrong if ids)),
+    )

@@ -240,6 +240,13 @@ def test_2_screening_oracle_equivalence(capfd):
 def test_3_fault_detection_completeness(capfd):
     with criterion(capfd, 3, "fault detection completeness") as note:
         scenario = load_scenario(str(REFERENCE))
+        # Every label filed under a requirement is one its compliant run yields.
+        yields = {
+            rec.procedure.requirement_id: {c.label for c in rec.outcome.criteria}
+            for rec in run_campaign(scenario).procedures
+        }
+        for spec, expected in ATTRIBUTION.items():
+            assert all(labels <= yields[rid] for rid, labels in expected.items()), spec
         kinds = set()
         for spec, expected in ATTRIBUTION.items():
             fault = Fault.parse(spec)

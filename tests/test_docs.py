@@ -1,15 +1,17 @@
-"""The documents list every fault kind, profile key and requirement the code has."""
+"""The documents list every fault kind, profile key, requirement and criterion the code has."""
 
 import re
 from pathlib import Path
 
+from fwconform.campaign import run_campaign
 from fwconform.firewall import FaultName
 from fwconform.formal import ALL_REQUIREMENTS
-from fwconform.scenario import _PROFILE_KEYS
+from fwconform.scenario import _PROFILE_KEYS, load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 FORMAT = (ROOT / "docs" / "scenario-format.md").read_text(encoding="utf-8")
+SCHEMA = (ROOT / "docs" / "report-schema.md").read_text(encoding="utf-8")
 
 
 def _section(text: str, heading: str) -> str:
@@ -39,3 +41,12 @@ def test_every_profile_key_has_a_row_in_the_profile_table():
 def test_every_requirement_has_a_row_in_the_catalog_table():
     rows = _matches(README, r"^\| `([\w-]+)` \|")
     assert set(ALL_REQUIREMENTS) <= rows
+
+
+def test_the_criteria_table_lists_each_kinds_labels_in_report_order():
+    rows = re.findall(r"^\| `([\w-]+)` \| (.*) \|$", _section(SCHEMA, "### criteria"), re.MULTILINE)
+    documented = {kind: re.findall(r"`([\w-]+)`", cell) for kind, cell in rows}
+    report = run_campaign(load_scenario(str(ROOT / "scenarios" / "reference.scn")))
+    produced = {rec.kind.value: [c.label for c in rec.outcome.criteria] for rec in report.procedures}
+    assert len(rows) == len(documented) == 5
+    assert documented == produced

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fwconform.cli as cli
 import fwconform.report as report_module
 from fwconform.campaign import run_campaign
 from fwconform.errors import FwconformError, ReportFormatError
@@ -226,6 +227,61 @@ def test_the_dict_entry_names_the_problem(data, problem):
     with pytest.raises(ReportFormatError) as caught:
         report_from_dict(data)
     assert str(caught.value) == f"malformed report: {problem}"
+
+
+_RECORDS = json.loads(GOLDEN_TEXT)["procedures"]
+_PAIRS = json.loads(GOLDEN_TEXT)["campaign"]["pairs"]
+
+
+# Reports that decode and whose bits agree, yet that no campaign could have
+# written: one record per claimed row, none for an unknown id, each record of
+# its requirement's kind with that kind's evidence at that kind's level.
+@pytest.mark.parametrize(
+    "changes, problem",
+    [
+        (
+            [
+                (("campaign", "pairs"), [*_PAIRS, ["r9", 1, 1]]),
+                (("campaign", "n"), 6),
+                (("procedures",), [*_RECORDS, {**_RECORDS[4], "requirement": "r9"}]),
+            ],
+            "unknown requirement id(s) listed: r9",
+        ),
+        (
+            [(("procedures", 3, "kind"), "integrity-control")],
+            "reference-fw/r2: integrity-control record with auth evidence,"
+            " expected admin-auth record with auth evidence",
+        ),
+        (
+            [(("procedures", 4, "evidence"), _RECORDS[3]["evidence"])],
+            "reference-fw/r3: integrity-control record with auth evidence,"
+            " expected integrity-control record with integrity evidence",
+        ),
+        (
+            [(("procedures", 0, "evidence", "level"), "fields")],
+            "reference-fw/r1: net-filter record with fields-level filter evidence,"
+            " expected net-filter record with network-level filter evidence",
+        ),
+        (
+            [(("procedures",), [_RECORDS[0], *_RECORDS])],
+            "duplicate requirement record(s): r1",
+        ),
+        ([(("procedures",), _RECORDS[1:])], "no outcome for r1"),
+    ],
+    ids=["unknown-id", "kind", "evidence-type", "level", "record-twice", "record-missing"],
+)
+def test_a_report_no_campaign_could_write_is_refused(tmp_path, capsys, changes, problem):
+    text = _golden_with(*changes)
+    for read in (parse_report, lambda t: report_from_dict(json.loads(t))):
+        with pytest.raises(ReportFormatError) as caught:
+            read(text)
+        assert str(caught.value) == f"malformed report: {problem}"
+    forged = tmp_path / "forged.json"
+    forged.write_text(text)
+    assert cli.main(["report", str(forged)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"malformed report: {problem}" in err
 
 
 @pytest.mark.parametrize(

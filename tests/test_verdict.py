@@ -53,7 +53,6 @@ from fwconform.verdict import (
     evaluate_filter_criteria,
     evaluate_integrity_criteria,
     probe_ledger,
-    project,
     _first_match_in_order,
 )
 from fwconform.report import export_report, parse_report
@@ -105,14 +104,6 @@ def filter_evidence(level=FilterLevel.NETWORK, faults=(), rules=RULES):
 
 def bits(results):
     return {r.label: r.bit for r in results}
-
-
-def test_project_handles_all_three_record_kinds():
-    pair = ("198.51.100.10", "203.0.113.20")
-    pkt = Packet(Address(pair[0]), Address(pair[1]), payload_tag=1)
-    rule = RULES[0]
-    entry = JournalEntry(0, JournalEvent.PASS_ALLOWED, pair)
-    assert project(pkt) == project(rule) == project(entry) == pair
 
 
 def test_pairset_mismatch_wording():
