@@ -22,7 +22,6 @@ from . import __version__
 from .firewall import Address, AuthMode, Fault, FilterRule
 from .formal import (
     ALL_REQUIREMENTS,
-    FILTER_LEVELS,
     ProcedureOutcome,
     RequirementKind,
     aggregate_verdict,
@@ -87,10 +86,10 @@ def run_campaign(scenario: Scenario, faults: Sequence[Fault] | None = None) -> R
     outcomes: dict[str, ProcedureOutcome] = {}
     records = []
     for rid, procedure in procedures.items():
-        kind = ALL_REQUIREMENTS[rid].kind
+        kind, level = ALL_REQUIREMENTS[rid].kind, ALL_REQUIREMENTS[rid].level
         bench = _fresh_bench(scenario, rid, rules)
-        if kind in FILTER_LEVELS:
-            evidence = run_filter_procedure(bench, FILTER_LEVELS[kind], scenario.traffic)
+        if level is not None:
+            evidence = run_filter_procedure(bench, level, scenario.traffic)
             criteria = evaluate_filter_criteria(evidence)
         elif kind is RequirementKind.ADMIN_AUTH:
             evidence = run_auth_procedure(bench, scenario.attempts)

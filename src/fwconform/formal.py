@@ -35,27 +35,37 @@ class FilterLevel(Enum):
     FIELDS = "fields"
 
 
-# The screening level each filter requirement is tested at.
-FILTER_LEVELS = {
-    RequirementKind.NET_FILTER: FilterLevel.NETWORK,
-    RequirementKind.LINK_FILTER: FilterLevel.LINK,
-    RequirementKind.FIELD_FILTER: FilterLevel.FIELDS,
-}
-
-
 @dataclass(frozen=True)
 class Requirement:
-    """One catalog entry a product may claim.
+    """One catalog entry a product may claim, with the procedure it sources.
 
-    `params` names the packet or session attributes the requirement is
-    stated over, purely as documentation for reports.
+    `level` is the screening level a filter requirement is tested at, and
+    None for the other kinds.  `objective`, `steps` and `expected` are the
+    text of the one procedure `develop_procedure` makes from the entry.
     """
 
     id: str
     kind: RequirementKind
+    level: FilterLevel | None
     text: str
-    params: tuple[str, ...] = ()
+    objective: str
+    steps: tuple[str, ...]
+    expected: str
 
+
+# The template the three screening requirements share, up to the attributes named.
+_SCREENING_OBJECTIVE = "show that screening decisions follow the rule set over "
+_SCREENING_STEPS = (
+    "assemble a two-segment bench around the product and load the rule set",
+    "generate probe traffic covering every sender/recipient combination",
+    "replay the traffic through the product",
+    "capture what reaches the protected segment",
+    "export the screening journal",
+)
+_SCREENING_EXPECTED = (
+    "delivered and blocked traffic sets equal the allow and deny rule"
+    " coverage, and the journal mirrors both sets"
+)
 
 ALL_REQUIREMENTS: dict[str, Requirement] = {
     r.id: r
@@ -63,32 +73,61 @@ ALL_REQUIREMENTS: dict[str, Requirement] = {
         Requirement(
             "r1",
             RequirementKind.NET_FILTER,
+            FilterLevel.NETWORK,
             "screen traffic on network sender and recipient addresses",
-            ("src", "dst"),
+            _SCREENING_OBJECTIVE + "src, dst",
+            _SCREENING_STEPS,
+            _SCREENING_EXPECTED,
         ),
         Requirement(
             "r1-link",
             RequirementKind.LINK_FILTER,
+            FilterLevel.LINK,
             "screen traffic on link-layer sender and recipient addresses",
-            ("src_link", "dst_link"),
+            _SCREENING_OBJECTIVE + "src_link, dst_link",
+            _SCREENING_STEPS,
+            _SCREENING_EXPECTED,
         ),
         Requirement(
             "r1-fields",
             RequirementKind.FIELD_FILTER,
+            FilterLevel.FIELDS,
             "screen traffic on service protocol and time-to-live fields",
-            ("proto", "ttl"),
+            _SCREENING_OBJECTIVE + "proto, ttl",
+            _SCREENING_STEPS,
+            _SCREENING_EXPECTED,
         ),
         Requirement(
             "r2",
             RequirementKind.ADMIN_AUTH,
+            None,
             "identify and authenticate the administrator before granting access",
-            ("identifier", "password"),
+            "show that access is granted exactly to registered credentials",
+            (
+                "register the administrator accounts on the product",
+                "start a capture on the management segment",
+                "attempt sign-on with registered and unregistered credentials",
+                "probe screening behaviour before and after sign-on",
+                "stop the capture",
+                "export the sign-on journal",
+            ),
+            "registered credentials and only those are accepted, every attempt"
+            " is journaled in order, and no credential crosses a segment in"
+            " the clear",
         ),
         Requirement(
             "r3",
             RequirementKind.INTEGRITY_CONTROL,
+            None,
             "detect unsanctioned modification of its own software and settings",
-            ("file_id",),
+            "show that the integrity monitor flags exactly the edited files",
+            (
+                "record baseline digests for every monitored file",
+                "edit a chosen subset of the files",
+                "trigger the integrity check",
+                "collect the per-file verdicts and alarm journal",
+            ),
+            "a file is flagged if and only if it was edited",
         ),
     )
 }
@@ -176,61 +215,12 @@ def develop_procedure(profile: FirewallProfile, requirement: Requirement) -> Tes
     caps = profile.capabilities
     problem = capability_problem(requirement.kind, caps)
     refuse(problem and f"{requirement.id}: {problem}")
-    proc_id = f"{profile.name}/{requirement.id}"
-    if requirement.kind in FILTER_LEVELS:
-        attrs = ", ".join(requirement.params)
-        return TestProcedure(
-            id=proc_id,
-            requirement_id=requirement.id,
-            objective=f"show that screening decisions follow the rule set over {attrs}",
-            steps=(
-                "assemble a two-segment bench around the product and load the rule set",
-                "generate probe traffic covering every sender/recipient combination",
-                "replay the traffic through the product",
-                "capture what reaches the protected segment",
-                "export the screening journal",
-            ),
-            expected=(
-                "delivered and blocked traffic sets equal the allow and deny rule"
-                " coverage, and the journal mirrors both sets"
-            ),
-        )
-    if requirement.kind is RequirementKind.ADMIN_AUTH:
-        steps = [
-            "register the administrator accounts on the product",
-            "start a capture on the management segment",
-            "attempt sign-on with registered and unregistered credentials",
-            "probe screening behaviour before and after sign-on",
-            "stop the capture",
-            "export the sign-on journal",
-        ]
-        if caps.auth_mode is AuthMode.LOCAL:
-            # Console-port sign-on never touches a segment, so there is
-            # nothing to capture.
-            steps = [s for s in steps if "capture" not in s]
-        return TestProcedure(
-            id=proc_id,
-            requirement_id=requirement.id,
-            objective="show that access is granted exactly to registered credentials",
-            steps=tuple(steps),
-            expected=(
-                "registered credentials and only those are accepted, every attempt"
-                " is journaled in order, and no credential crosses a segment in"
-                " the clear"
-            ),
-        )
-    return TestProcedure(  # the one kind left: integrity control
-        id=proc_id,
-        requirement_id=requirement.id,
-        objective="show that the integrity monitor flags exactly the edited files",
-        steps=(
-            "record baseline digests for every monitored file",
-            "edit a chosen subset of the files",
-            "trigger the integrity check",
-            "collect the per-file verdicts and alarm journal",
-        ),
-        expected="a file is flagged if and only if it was edited",
-    )
+    steps = requirement.steps
+    if requirement.kind is RequirementKind.ADMIN_AUTH and caps.auth_mode is AuthMode.LOCAL:
+        # Console-port sign-on never touches a segment, so there is nothing to capture.
+        steps = tuple(s for s in steps if "capture" not in s)
+    texts = requirement.objective, steps, requirement.expected
+    return TestProcedure(f"{profile.name}/{requirement.id}", requirement.id, *texts)
 
 
 def claim_bit(profile: FirewallProfile, requirement_id: str) -> int:

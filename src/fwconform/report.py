@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple, Union, get_args, get_origin, get_type_h
 from .errors import Refused, ReportFormatError, refuse
 from .firewall import Address, duplicate_problem
 from .formal import (
-    ALL_REQUIREMENTS, FILTER_LEVELS, CampaignVerdict, ProcedureOutcome, RequirementKind,
+    ALL_REQUIREMENTS, CampaignVerdict, ProcedureOutcome, RequirementKind,
     TestProcedure, aggregate_verdict, scope_problems,
 )
 from .optimizer import CampaignPlan
@@ -92,7 +92,9 @@ _RENAMES = {"requirement_id": "requirement", "variant_id": "variant"}
 _EVIDENCE_TAGS = {"filter": FilterEvidence, "auth": AuthEvidence, "integrity": IntegrityEvidence}
 _TAGS = {cls: tag for tag, cls in _EVIDENCE_TAGS.items()}
 # The evidence each kind's procedure returns: its tag, with a filter kind's level.
-_KIND_FORMS = {kind: f"{level.value}-level filter" for kind, level in FILTER_LEVELS.items()}
+_KIND_FORMS = {
+    r.kind: f"{r.level.value}-level filter" for r in ALL_REQUIREMENTS.values() if r.level
+}
 _KIND_FORMS |= {RequirementKind.ADMIN_AUTH: "auth", RequirementKind.INTEGRITY_CONTROL: "integrity"}
 _JSON_NAMES = {str: "string", int: "integer", list: "array", dict: "object", type(None): "null"}
 _SURROGATE_PAIR = re.compile(r"[\ud800-\udbff][\udc00-\udfff]")
@@ -297,10 +299,10 @@ def report_from_dict(data: dict) -> Report:
         report = _codec(Report, 0).decode(data)
         pairs, ids = report.campaign.pairs, [r.procedure.requirement_id for r in report.procedures]
         refuse(*scope_problems((), [rid for rid, _, _ in pairs]))
-        rows = {rid: (claimed, upheld) for rid, claimed, upheld in pairs}
+        rows = {rid: claimed for rid, claimed, _ in pairs}
         for rid, rec in zip(ids, report.procedures):
-            if rows.get(rid) != (rec.claim, rec.outcome.passed):
-                raise Refused(f"{rec.procedure.id}: claim or passed bit differs from its pairs row")
+            if (rec.claim, rows.get(rid)) != (1, 1):
+                raise Refused(f"{rec.procedure.id}: record or its pairs row does not claim it")
             kind, ev = ALL_REQUIREMENTS[rid].kind, rec.evidence
             form = _TAGS[type(ev)]
             form = f"{ev.level.value}-level {form}" if form == "filter" else form
@@ -311,7 +313,9 @@ def report_from_dict(data: dict) -> Report:
         # One record per requirement, and one for each claimed row.
         refuse(duplicate_problem("requirement record(s)", ids))
         outcomes = {rid: rec.outcome for rid, rec in zip(ids, report.procedures)}
-        aggregate_verdict([(ALL_REQUIREMENTS[rid], claimed) for rid, claimed, _ in pairs], outcomes)
+        verdict = aggregate_verdict([(ALL_REQUIREMENTS[r], c) for r, c in rows.items()], outcomes)
+        if verdict != report.campaign:
+            raise Refused("campaign verdict is not the one its claim bits and records give")
         return report
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ReportFormatError(f"malformed report: {exc}") from None

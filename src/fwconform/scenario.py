@@ -44,7 +44,7 @@ from .firewall import (
     fault_problem,
 )
 from .formal import (
-    ALL_REQUIREMENTS, FILTER_LEVELS, Capabilities, FirewallProfile, RequirementKind,
+    ALL_REQUIREMENTS, Capabilities, FirewallProfile, RequirementKind,
     capability_problem, scope_problems,
 )
 from .optimizer import ProcedureVariant, duplicate_variant_problem
@@ -356,8 +356,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     caps = scenario.capabilities
     hosts = scenario.external + scenario.internal
     for claim in claims:
-        kind = ALL_REQUIREMENTS[claim].kind
-        level = FILTER_LEVELS.get(kind)
+        kind, level = ALL_REQUIREMENTS[claim].kind, ALL_REQUIREMENTS[claim].level
         for problem in (
             capability_problem(kind, caps),
             level and filter_level_problem(level, hosts, scenario.rules),

@@ -70,6 +70,73 @@ def test_local_auth_procedure_omits_the_capture_steps():
     assert not any("capture" in s for s in local.steps)
 
 
+_SCREEN_STEPS = (
+    "assemble a two-segment bench around the product and load the rule set",
+    "generate probe traffic covering every sender/recipient combination",
+    "replay the traffic through the product",
+    "capture what reaches the protected segment",
+    "export the screening journal",
+)
+_SCREEN_EXPECTED = (
+    "delivered and blocked traffic sets equal the allow and deny rule coverage,"
+    " and the journal mirrors both sets"
+)
+_AUTH_STEPS = (
+    "register the administrator accounts on the product",
+    "start a capture on the management segment",
+    "attempt sign-on with registered and unregistered credentials",
+    "probe screening behaviour before and after sign-on",
+    "stop the capture",
+    "export the sign-on journal",
+)
+# Every field of each requirement's developed procedure but its id, which is
+# `<profile>/<requirement>`.  Local sign-on drops the two capture steps.
+_PROCEDURES = {
+    "r1": (
+        "show that screening decisions follow the rule set over src, dst",
+        _SCREEN_STEPS,
+        _SCREEN_EXPECTED,
+    ),
+    "r1-link": (
+        "show that screening decisions follow the rule set over src_link, dst_link",
+        _SCREEN_STEPS,
+        _SCREEN_EXPECTED,
+    ),
+    "r1-fields": (
+        "show that screening decisions follow the rule set over proto, ttl",
+        _SCREEN_STEPS,
+        _SCREEN_EXPECTED,
+    ),
+    "r2": (
+        "show that access is granted exactly to registered credentials",
+        _AUTH_STEPS,
+        "registered credentials and only those are accepted, every attempt is journaled"
+        " in order, and no credential crosses a segment in the clear",
+    ),
+    "r3": (
+        "show that the integrity monitor flags exactly the edited files",
+        (
+            "record baseline digests for every monitored file",
+            "edit a chosen subset of the files",
+            "trigger the integrity check",
+            "collect the per-file verdicts and alarm journal",
+        ),
+        "a file is flagged if and only if it was edited",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", [AuthMode.REMOTE, AuthMode.LOCAL])
+def test_every_developed_procedure_is_pinned(mode):
+    profile = FirewallProfile("sut", tuple(ALL_REQUIREMENTS), Capabilities(auth_mode=mode))
+    expected = {}
+    for rid, (objective, steps, outcome) in _PROCEDURES.items():
+        if rid == "r2" and mode is AuthMode.LOCAL:
+            steps = (steps[0], steps[2], steps[3], steps[5])
+        expected[rid] = TestProcedure(f"sut/{rid}", rid, objective, steps, outcome)
+    assert list(profile.develop_all().items()) == list(expected.items())
+
+
 def test_bijectivity_holds_for_a_clean_development():
     reqs = list(ALL_REQUIREMENTS.values())
     procs = [develop_procedure(FULL, r) for r in reqs]

@@ -234,8 +234,9 @@ _PAIRS = json.loads(GOLDEN_TEXT)["campaign"]["pairs"]
 
 
 # Reports that decode and whose bits agree, yet that no campaign could have
-# written: one record per claimed row, none for an unknown id, each record of
-# its requirement's kind with that kind's evidence at that kind's level.
+# written: one record per claimed row, none for an unknown id or an unclaimed
+# row, each record of its requirement's kind with that kind's evidence at that
+# kind's level, and a verdict that is the one its claim bits and records give.
 @pytest.mark.parametrize(
     "changes, problem",
     [
@@ -267,8 +268,23 @@ _PAIRS = json.loads(GOLDEN_TEXT)["campaign"]["pairs"]
             "duplicate requirement record(s): r1",
         ),
         ([(("procedures",), _RECORDS[1:])], "no outcome for r1"),
+        (
+            [(("campaign", "pairs", 4), ["r3", 0, 1]), (("procedures",), _RECORDS[:4])],
+            "campaign verdict is not the one its claim bits and records give",
+        ),
+        (
+            [(("campaign", "pairs", 4), ["r3", 0, 1]), (("procedures", 4, "claim"), 0)],
+            "reference-fw/r3: record or its pairs row does not claim it",
+        ),
+        (
+            [(("campaign", "pairs", 4), ["r3", 0, 1])],
+            "reference-fw/r3: record or its pairs row does not claim it",
+        ),
     ],
-    ids=["unknown-id", "kind", "evidence-type", "level", "record-twice", "record-missing"],
+    ids=[
+        "unknown-id", "kind", "evidence-type", "level", "record-twice", "record-missing",
+        "unclaimed-row-upheld", "unclaimed-record", "unclaimed-row-recorded",
+    ],
 )
 def test_a_report_no_campaign_could_write_is_refused(tmp_path, capsys, changes, problem):
     text = _golden_with(*changes)
