@@ -16,7 +16,7 @@ from contextlib import suppress
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import compress
-from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence
+from typing import Collection, Hashable, Iterable, Mapping, Sequence
 
 from .errors import Refused, refuse
 
@@ -184,6 +184,11 @@ class AdminAccount:
     identifier: str
     password: str
 
+    def __post_init__(self):
+        for name in ("identifier", "password"):
+            value = getattr(self, name)
+            refuse(not isinstance(value, str) and f"account {name} must be a string: {value!r}")
+
 
 @dataclass(frozen=True)
 class FileArtifact:
@@ -191,6 +196,12 @@ class FileArtifact:
 
     file_id: str
     content: bytes
+
+    def __post_init__(self):
+        refuse(
+            not isinstance(self.file_id, str) and f"file id must be a string: {self.file_id!r}",
+            not isinstance(self.content, bytes) and f"file content must be bytes: {self.content!r}",
+        )
 
 
 def digest(content: bytes) -> str:
@@ -385,9 +396,8 @@ class Firewall:
         self._files = {f.file_id: f.content for f in files}
         self._baselines: dict[str, str] | None = None
         self._auth_attempt_count = 0
-        # Wired up by the testbench so remote sign-on traffic lands on a tap:
-        # (packet sink, tag source, console address).
-        self._console: tuple[Callable, Callable, Address] | None = None
+        # Each remote sign-on's (request, reply) payloads, in attempt order.
+        self.console_sent: list[tuple[bytes, bytes]] = []
 
     # -- configuration ----------------------------------------------------
 
@@ -395,14 +405,6 @@ class Firewall:
     def files(self) -> dict[str, bytes]:
         """The current content of each monitored file, by file id."""
         return dict(self._files)
-
-    def connect_console(
-        self,
-        sink: Callable[[Packet], None],
-        make_tag: Callable[[], int],
-        console: Address,
-    ) -> None:
-        self._console = (sink, make_tag, console)
 
     # -- journal writing ---------------------------------------------------
 
@@ -449,8 +451,8 @@ class Firewall:
     def authenticate(self, identifier: str, password: str) -> int:
         """Try an administrator sign-on; returns 1 when access is granted.
 
-        In remote mode the console exchange is put on the internal segment
-        as capturable packets.  Rejection is a value, never an error.
+        In remote mode the console exchange's payloads are kept in
+        `console_sent`.  Rejection is a value, never an error.
         """
         attempt_index = self._auth_attempt_count
         self._auth_attempt_count += 1
@@ -458,33 +460,14 @@ class Firewall:
         event = JournalEvent.AUTH_ACCEPTED if granted else JournalEvent.AUTH_REJECTED
         self._journal_event(event, (identifier,))
         if self.auth_mode is AuthMode.REMOTE:
-            self._emit_exchange(attempt_index, identifier, password, granted)
+            request = self._signon_request(attempt_index, identifier, password)
+            reply = f"console-verdict attempt={attempt_index} {'granted' if granted else 'refused'}"
+            self.console_sent.append((request.encode(), reply.encode()))
         return int(granted)
 
     def _signon_request(self, index: int, identifier: str, password: str) -> str:
         token = hashlib.sha256(f"{identifier}\x00{password}".encode()).hexdigest()[:16]
         return f"console-signon attempt={index} token={token}"
-
-    def _emit_exchange(self, index: int, identifier: str, password: str, granted: bool) -> None:
-        if self._console is None:  # no bench connected: the exchange goes nowhere
-            return
-        sink, make_tag, console = self._console
-        request = self._signon_request(index, identifier, password)
-        reply = f"console-verdict attempt={index} {'granted' if granted else 'refused'}"
-        for src, dst, text in (
-            (console, self.management, request),
-            (self.management, console, reply),
-        ):
-            packet = Packet(
-                src=src,
-                dst=dst,
-                proto=99,
-                ttl=DEFAULT_TTL,
-                payload_tag=make_tag(),
-                payload=text.encode(),
-                ingress=Segment.INTERNAL,
-            )
-            sink(packet)
 
     # -- integrity control ---------------------------------------------------
 

@@ -355,7 +355,7 @@ def parse_report(text: str) -> Report:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ReportFormatError(f"not valid JSON: {exc}") from None
-    except RecursionError as exc:
+    except (RecursionError, ValueError) as exc:  # too deep, or an integer past the digit limit
         raise ReportFormatError(f"malformed report: {exc}") from None
     return report_from_dict(data)
 

@@ -344,7 +344,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     )
     for what in ("seed", "budget"):
         value = getattr(scenario, what)
-        say(value is not None and value < 0 and f"{what} must be nonnegative: {value}")
+        if type(value) is not int:  # refuses bools too; a None budget is unlimited
+            say((what, value) != ("budget", None) and f"{what} must be an integer: {value!r}")
+        else:
+            say(value < 0 and f"{what} must be nonnegative: {value}")
     if scenario.management:
         try:
             Address(scenario.management)

@@ -7,8 +7,8 @@ the product once, a `Firewall`, or a `FaultyFirewall` when faults are
 given; the procedures only drive it.  The bench keeps its own copies of
 the rule set, sorted by `order`, and of the accounts, and builds the
 product from them: the verdict stage compares the product against these.
-The probes sent are the outside traffic; a tap on the inside segment
-records everything the product lets through.
+The probes sent are the outside traffic; the bench itself builds every
+packet seen on the inside segment, the product's console exchange included.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class TrafficSpec:
 
 
 class Testbench:
-    """Mutable bench state: hosts, loaded rules, accounts and files, product, inside tap, RNG."""
+    """Mutable bench state: hosts, loaded rules, accounts and files, product, tag counter, RNG."""
 
     __test__ = False  # not a pytest case, despite the name
 
@@ -108,10 +108,8 @@ class Testbench:
         self.external = tuple(external)
         self.internal = tuple(internal)
         self._hosts = {h.name: h for h in self.external + self.internal}
-        self.inside: list[Packet] = []
         self.rng = random.Random(seed)
         self._tag = 0
-        self.fw.connect_console(self.inside.append, self._next_tag, self.internal[0].address)
 
     def _next_tag(self) -> int:
         self._tag += 1
@@ -190,16 +188,12 @@ def _build_packet(bench: Testbench, spec: TrafficSpec) -> Packet:
 def generate_packets(
     bench: Testbench, traffic: Sequence[TrafficSpec] | None = None
 ) -> tuple[Packet, ...]:
-    """Emit the probe traffic for one screening run.
+    """Build the probe traffic for one screening run.
 
     Without an explicit traffic list this is one packet per
     outside-to-inside host pair, in topology order, with default field
     values; an explicit list replaces that entirely, and is refused when it
-    is empty or a packet does not go from an outside host to an inside
-    one.  The packets are built, then offered to the product in order, and
-    each lands on the inside tap when it comes through; the packets sent
-    are returned.  The medium itself never loses, reorders or duplicates
-    anything.
+    is empty or a packet does not go from an outside host to an inside one.
     """
     if traffic is None:
         traffic = [
@@ -208,10 +202,7 @@ def generate_packets(
         ]
     else:
         refuse(*traffic_problems(traffic, bench.external, bench.internal))
-    packets = tuple(_build_packet(bench, spec) for spec in traffic)
-    screen = bench.fw.filter_packet
-    bench.inside.extend(p for p in packets if screen(p) is Decision.FORWARDED)
-    return packets
+    return tuple(_build_packet(bench, spec) for spec in traffic)
 
 
 @dataclass(frozen=True)
@@ -249,17 +240,18 @@ def run_filter_procedure(
     level: FilterLevel = FilterLevel.NETWORK,
     traffic: Sequence[TrafficSpec] | None = None,
 ) -> FilterEvidence:
-    """Replay probe traffic through the loaded product and collect the evidence."""
+    """Offer probe traffic to the loaded product in order and collect the evidence."""
     refuse(filter_level_problem(level, bench.external + bench.internal, bench.rules))
-    bench.inside.clear()
     mark = len(bench.fw.export_journal())
     packets = generate_packets(bench, traffic)
+    screen = bench.fw.filter_packet
+    delivered = tuple(p for p in packets if screen(p) is Decision.FORWARDED)
     allowed, denied = split_filter_journal(bench.fw.export_journal()[mark:])
     return FilterEvidence(
         level=level,
         rules=bench.rules,
         packet_in=packets,
-        packet_out=tuple(bench.inside),
+        packet_out=delivered,
         journal_allowed=allowed,
         journal_denied=denied,
     )
@@ -334,10 +326,12 @@ def attempt_coverage_problem(
     return None
 
 
-def _screening_probes(bench: Testbench, stage: str) -> list[tuple[str, str, str, str]]:
+def _screening_probes(
+    bench: Testbench, stage: str, delivered: list[Packet]
+) -> list[tuple[str, str, str, str]]:
     # One packet per first allow/deny rule, to show the product keeps
-    # screening while sign-on sessions are open; forwarded probes land on
-    # the inside tap like any other delivered traffic.
+    # screening while sign-on sessions are open; forwarded probes go to
+    # `delivered` like any other delivered traffic.
     probes = []
     for wanted in ("allow", "deny"):
         rule = next((r for r in bench.rules if r.action.value == wanted), None)
@@ -354,7 +348,7 @@ def _screening_probes(bench: Testbench, stage: str) -> list[tuple[str, str, str,
         )
         decision = bench.fw.filter_packet(packet)
         if decision is Decision.FORWARDED:
-            bench.inside.append(packet)
+            delivered.append(packet)
         probes.append((stage, rule.src, rule.dst, decision.value))
     return probes
 
@@ -375,16 +369,22 @@ def run_auth_procedure(
     tried = list(attempts) if attempts is not None else _default_attempts(registered)
     refuse(attempt_coverage_problem(tried, registered))
     mode = bench.fw.auth_mode
-    bench.inside.clear()
-    mark = len(bench.fw.export_journal())
-    probes = _screening_probes(bench, "before")
+    mark, sent = len(bench.fw.export_journal()), len(bench.fw.console_sent)
+    captured: list[Packet] = []
+    probes = _screening_probes(bench, "before", captured)
     results = tuple(
         AuthAttemptResult(identifier, password, bench.fw.authenticate(identifier, password))
         for identifier, password in tried
     )
-    probes += _screening_probes(bench, "after")
+    # The first inside host is the console: requests go to the management address, replies back.
+    console, management = bench.internal[0].address, bench.fw.management
+    for request, reply in bench.fw.console_sent[sent:]:
+        for src, dst, payload in ((console, management, request), (management, console, reply)):
+            tag = bench._next_tag()
+            captured.append(Packet(src, dst, 99, DEFAULT_TTL, tag, payload, Segment.INTERNAL))
+    probes += _screening_probes(bench, "after", captured)
     journal = bench.fw.export_journal()[mark:]
-    captures = tuple(bench.inside) if mode is AuthMode.REMOTE else ()
+    captures = tuple(captured) if mode is AuthMode.REMOTE else ()
     findings = scan_for_plaintext_credentials(captures, registered)
     return AuthEvidence(
         mode=mode,

@@ -271,6 +271,11 @@ _REFUSED = {
     ),
     "negative-seed": (dict(seed=-1), "seed must be nonnegative: -1"),
     "negative-budget": (dict(budget=-1), "budget must be nonnegative: -1"),
+    "text-seed": (dict(seed="7"), "seed must be an integer: '7'"),
+    "float-seed": (dict(seed=1.5), "seed must be an integer: 1.5"),
+    "no-seed": (dict(seed=None), "seed must be an integer: None"),
+    "text-budget": (dict(budget="3"), "budget must be an integer: '3'"),
+    "bool-budget": (dict(budget=True), "budget must be an integer: True"),
     "link-layer-off": (
         _claiming("r1-link", capabilities=Capabilities(link_layer=False), **_LINKED),
         "r1-link claimed but link-layer is off",

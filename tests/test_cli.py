@@ -251,6 +251,16 @@ def test_report_verb_rejects_json_nested_past_the_recursion_limit(tmp_path, caps
     assert err.startswith("error: malformed report: maximum recursion depth")
 
 
+def test_report_verb_rejects_an_integer_past_the_digit_limit(tmp_path, capsys):
+    golden = REPO_ROOT / "tests" / "data" / "reference-leak-credentials.json"
+    huge = tmp_path / "huge.json"
+    huge.write_text(golden.read_text().replace('"seed": 42', '"seed": ' + "9" * 5000))
+    assert cli.main(["report", str(huge)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: malformed report: Exceeds the limit (4300 digits)")
+
+
 def test_unexpected_exceptions_exit_three(monkeypatch, capsys):
     def boom(scenario, faults=None):
         raise RuntimeError("wires crossed")

@@ -253,22 +253,16 @@ def test_authenticate_wrong_password_or_id():
 
 def test_remote_mode_emits_console_exchange():
     fw = Firewall(accounts=[AdminAccount("alice", "s3cret")], auth_mode=AuthMode.REMOTE)
-    seen = []
-    tags = iter(range(100, 200))
-    fw.connect_console(seen.append, lambda: next(tags), Address(B))
     fw.authenticate("alice", "s3cret")
-    assert len(seen) == 2
-    request, reply = seen
-    assert b"alice" not in request.payload and b"s3cret" not in request.payload
-    assert b"granted" in reply.payload
+    ((request, reply),) = fw.console_sent
+    assert b"alice" not in request and b"s3cret" not in request
+    assert b"granted" in reply
 
 
 def test_local_mode_emits_nothing():
     fw = Firewall(accounts=[AdminAccount("alice", "s3cret")], auth_mode=AuthMode.LOCAL)
-    seen = []
-    fw.connect_console(seen.append, lambda: 1, Address(B))
     fw.authenticate("alice", "s3cret")
-    assert seen == []
+    assert fw.console_sent == []
 
 
 # -- integrity ------------------------------------------------------------------
@@ -587,11 +581,8 @@ def test_leak_credentials_needs_remote_mode():
 def test_leak_credentials_puts_secrets_on_the_wire():
     fw = Firewall(accounts=[AdminAccount("alice", "s3cret")], auth_mode=AuthMode.REMOTE)
     bad = inject_fault(fw, Fault(FaultName.LEAK_CREDENTIALS))
-    seen = []
-    tags = iter(range(100, 200))
-    bad.connect_console(seen.append, lambda: next(tags), Address(B))
     bad.authenticate("alice", "s3cret")
-    assert any(b"s3cret" in p.payload for p in seen)
+    assert any(b"s3cret" in payload for exchange in bad.console_sent for payload in exchange)
 
 
 def test_inject_fault_leaves_the_original_untouched():

@@ -8,9 +8,11 @@ import pytest
 
 from fwconform.errors import FwconformError, Refused
 from fwconform.firewall import (
+    AdminAccount,
     Address,
     Fault,
     FaultName,
+    FileArtifact,
     FilterRule,
     Mutation,
     Packet,
@@ -85,6 +87,19 @@ REFUSALS = {
     "mutation-data-type": (
         lambda: Mutation("f", "append", data="x").apply(b"ab"),
         "mutation data must be bytes: 'x'",
+    ),
+    "account-identifier-type": (
+        lambda: AdminAccount(5, "x"),
+        "account identifier must be a string: 5",
+    ),
+    "account-password-type": (
+        lambda: AdminAccount("root", b"x"),
+        "account password must be a string: b'x'",
+    ),
+    "file-id-type": (lambda: FileArtifact(1, b""), "file id must be a string: 1"),
+    "file-content-type": (
+        lambda: FileArtifact("a.conf", "text"),
+        "file content must be bytes: 'text'",
     ),
     "fault": (
         lambda: Fault(FaultName.ACCEPT_ANY_PASSWORD, "x"),

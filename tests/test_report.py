@@ -122,6 +122,16 @@ def test_parse_rejects_json_nested_past_the_recursion_limit(text):
         parse_report(text)
 
 
+def test_parse_rejects_an_integer_past_the_digit_limit():
+    text = GOLDEN_TEXT.replace('"seed": 42', '"seed": ' + "9" * 5000)
+    with pytest.raises(ReportFormatError) as caught:
+        parse_report(text)
+    assert str(caught.value) == (
+        "malformed report: Exceeds the limit (4300 digits) for integer string conversion:"
+        " value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"
+    )
+
+
 def test_parse_rejects_a_member_nested_near_the_recursion_limit():
     # Around the limit the nesting exhausts either the JSON reader or the
     # text of the type mismatch it causes; both are malformed input.

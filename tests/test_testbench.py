@@ -17,6 +17,7 @@ from fwconform.firewall import (
     Mutation,
     Packet,
     RuleAction,
+    Segment,
     fault_problem,
 )
 from fwconform.formal import (
@@ -187,7 +188,8 @@ def test_unknown_host_lookup():
 
 def test_default_traffic_is_the_cartesian_product_in_topology_order():
     b = bench(rules=[allow("198.51.100.10", "203.0.113.20", 0)])
-    packets = generate_packets(b)
+    ev = run_filter_procedure(b)
+    packets = ev.packet_in
     pairs = [(p.src.net, p.dst.net) for p in packets]
     assert pairs == [
         ("198.51.100.10", "203.0.113.20"),
@@ -198,7 +200,7 @@ def test_default_traffic_is_the_cartesian_product_in_topology_order():
     tags = [p.payload_tag for p in packets]
     assert len(set(tags)) == len(tags)
     assert all(p.src.link for p in packets), "host link addresses carried over"
-    assert b.inside == [packets[0]], "only the allowed probe reaches the inside tap"
+    assert ev.packet_out == packets[:1], "only the allowed probe is delivered"
 
 
 def test_traffic_spec_overrides_fields_and_links():
@@ -306,6 +308,54 @@ def test_auth_remote_mode_captures_the_exchange_and_probes():
     stages = [p[0] for p in ev.probes]
     assert stages == ["before", "before", "after", "after"]
     assert {p[3] for p in ev.probes} == {"forwarded", "dropped"}
+
+
+def _sign_on_bench():
+    rules = [allow("198.51.100.10", "203.0.113.20", 0), deny("198.51.100.10", "203.0.113.21", 1)]
+    management = Address("192.0.2.1", "02:00:5e:00:00:01")
+    return bench(rules=rules, accounts=ACCOUNTS, management=management)
+
+
+def test_auth_remote_captures_are_pinned_field_by_field():
+    ev = run_auth_procedure(_sign_on_bench())
+    out, into = Address("198.51.100.10"), Address("203.0.113.20")
+    console, mgmt = INT[0].address, Address("192.0.2.1", "02:00:5e:00:00:01")
+    tokens = ["bea921cf8abd0781", "2ce9f33f1ae744c8", "6bec9a8699aa0449", "bf386c2fe8877741"]
+    verdicts = ["granted", "refused", "refused", "refused", "granted"]
+    exchange = []
+    for i, (token, verdict) in enumerate(zip(tokens + tokens[:1], verdicts)):
+        request = b"console-signon attempt=%d token=%s" % (i, token.encode())
+        reply = b"console-verdict attempt=%d %s" % (i, verdict.encode())
+        exchange += [
+            (console, mgmt, 99, 64, 3 + 2 * i, request, Segment.INTERNAL),
+            (mgmt, console, 99, 64, 4 + 2 * i, reply, Segment.INTERNAL),
+        ]
+    assert [
+        (p.src, p.dst, p.proto, p.ttl, p.payload_tag, p.payload, p.ingress) for p in ev.captures
+    ] == [
+        (out, into, 6, 64, 1, b"probe", Segment.EXTERNAL),
+        *exchange,
+        (out, into, 6, 64, 13, b"probe", Segment.EXTERNAL),
+    ]
+
+
+def test_a_second_auth_run_captures_only_its_own_exchange_and_probes():
+    b = _sign_on_bench()
+    first = run_auth_procedure(b)
+    second = run_auth_procedure(b)
+    assert len(second.captures) == len(first.captures) == 12
+    assert [p.payload_tag for p in second.captures] == [15, *range(17, 27), 27]
+    assert [p.payload.split(b" ")[1] for p in second.captures[1:-1]] == [
+        b"attempt=%d" % n for n in range(5, 10) for _ in ("request", "reply")
+    ]
+
+
+def test_a_filter_run_after_an_auth_run_delivers_only_filter_probes():
+    b = _sign_on_bench()
+    run_auth_procedure(b)
+    ev = run_filter_procedure(b)
+    assert ev.packet_out == ev.packet_in[:1]
+    assert ev.packet_out[0].payload.startswith(b"pkt:")
 
 
 def test_auth_local_mode_captures_nothing():
