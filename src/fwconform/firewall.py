@@ -18,7 +18,7 @@ from enum import Enum
 from itertools import compress
 from typing import Collection, Hashable, Iterable, Mapping, Sequence
 
-from .errors import Refused, refuse
+from .errors import Refused, listed, refuse, shown, type_problem
 
 _MAC_RE = re.compile(r"[0-9a-f]{2}(:[0-9a-f]{2}){5}")
 # A canonical dotted quad: four octets 0-255 in ASCII digits, no leading zeros.
@@ -77,7 +77,7 @@ class Address:
 
     def __post_init__(self):
         if not (isinstance(self.net, str) and _NET_RE.fullmatch(self.net)):
-            raise Refused(f"not a canonical dotted-quad network address: {self.net!r}")
+            raise Refused(f"not a canonical dotted-quad network address: {shown(self.net)}")
         if self.link is not None:
             object.__setattr__(self, "link", link_address(self.link))
 
@@ -85,7 +85,7 @@ class Address:
 def link_address(text: str) -> str:
     """A colon-hex MAC address in lower case; `Refused` when malformed."""
     if not (isinstance(text, str) and _MAC_RE.fullmatch(low := text.lower())):
-        raise Refused(f"bad link-layer address: {text!r}")
+        raise Refused(f"bad link-layer address: {shown(text)}")
     return low
 
 
@@ -129,7 +129,7 @@ def packet_field_problem(
     if proto_ok and ttl_ok:
         return None
     given = (("proto", proto, proto_ok), ("ttl", ttl, ttl_ok))
-    return "; ".join(f"{k} out of range: {v!r}" for k, v, ok in given if not ok)
+    return "; ".join(f"{k} out of range: {shown(v)}" for k, v, ok in given if not ok)
 
 
 @dataclass(frozen=True)
@@ -153,11 +153,9 @@ class FilterRule:
 
     def __post_init__(self):
         normalize_links(self)
-        problem = packet_field_problem(self.proto, self.ttl_min) or packet_field_problem(
-            None, self.ttl_max
+        refuse(
+            packet_field_problem(self.proto, self.ttl_min), packet_field_problem(None, self.ttl_max)
         )
-        if problem:
-            raise Refused(problem)
         if None not in (self.ttl_min, self.ttl_max) and self.ttl_max < self.ttl_min:
             raise Refused(f"empty ttl range {self.ttl_min}-{self.ttl_max}")
 
@@ -186,8 +184,7 @@ class AdminAccount:
 
     def __post_init__(self):
         for name in ("identifier", "password"):
-            value = getattr(self, name)
-            refuse(not isinstance(value, str) and f"account {name} must be a string: {value!r}")
+            refuse(type_problem(f"account {name}", getattr(self, name), str))
 
 
 @dataclass(frozen=True)
@@ -199,8 +196,8 @@ class FileArtifact:
 
     def __post_init__(self):
         refuse(
-            not isinstance(self.file_id, str) and f"file id must be a string: {self.file_id!r}",
-            not isinstance(self.content, bytes) and f"file content must be bytes: {self.content!r}",
+            type_problem("file id", self.file_id, str),
+            type_problem("file content", self.content, bytes),
         )
 
 
@@ -224,21 +221,19 @@ class Mutation:
     def __post_init__(self):
         refuse(
             self.kind not in ("none", "flip", "append", "replace")
-            and f"unknown mutation kind {self.kind!r}",
-            type(self.offset) is not int and f"mutation offset must be an integer: {self.offset!r}",
-            not isinstance(self.data, bytes) and f"mutation data must be bytes: {self.data!r}",
+            and f"unknown mutation kind {shown(self.kind)}",
+            type_problem("mutation offset", self.offset, int),
+            type_problem("mutation data", self.data, bytes),
         )
 
     def apply(self, content: bytes) -> bytes:
         if self.kind == "none":
             return content
         if self.kind == "flip":
-            if self.offset < 0:
-                raise Refused(f"flip offset {self.offset} is negative")
+            refuse(self.offset < 0 and f"flip offset {shown(self.offset)} is negative")
             if self.offset >= len(content):
-                raise Refused(
-                    f"flip offset {self.offset} beyond end of {self.file_id} ({len(content)} bytes)"
-                )
+                where = f"{shown(self.offset)} beyond end of {shown(self.file_id, str)}"
+                raise Refused(f"flip offset {where} ({len(content)} bytes)")
             edited = bytearray(content)
             edited[self.offset] ^= 0xFF
             return bytes(edited)
@@ -280,22 +275,18 @@ class Fault:
 
     def __post_init__(self):
         if not isinstance(self.name, FaultName):
-            raise Refused(f"unknown fault: {self.name!r}")
+            raise Refused(f"unknown fault: {shown(self.name)}")
         name, param = self.name.value, self.param
         kind = _FAULT_PARAMS.get(self.name)
-        choices = kind if isinstance(kind, tuple) else None
-        if choices is not None:
-            kind = f"one of {', '.join(choices)}"
-        if kind is None and param is not None:
-            raise Refused(f"fault {name} takes no parameter")
-        if kind is not None and param in (None, ""):
-            raise Refused(f"fault {name} needs a parameter ({kind})")
-        if self.name is FaultName.INVERT_RULE and type(param) is not int:
-            raise Refused(f"invert_rule parameter must be an integer: {param!r}")
-        if self.name is FaultName.BLIND_INTEGRITY and not isinstance(param, str):
-            raise Refused(f"blind_integrity parameter must be a string: {param!r}")
-        if choices is not None and param not in choices:
-            raise Refused(f"{name} parameter must be {kind}: {param!r}")
+        choices = kind if isinstance(kind, tuple) else ()
+        kind = f"one of {listed(choices)}" if choices else kind
+        typed = {FaultName.INVERT_RULE: int, FaultName.BLIND_INTEGRITY: str}.get(self.name)
+        refuse(
+            kind is None and param is not None and f"fault {name} takes no parameter",
+            kind is not None and param in (None, "") and f"fault {name} needs a parameter ({kind})",
+            typed and type_problem(f"{name} parameter", param, typed),
+            choices and param not in choices and f"{name} parameter must be {kind}: {shown(param)}",
+        )
 
     @classmethod
     def parse(cls, text: str) -> "Fault":
@@ -310,13 +301,7 @@ class Fault:
         return cls(name, param)
 
     def spec_text(self) -> str:
-        if self.param is None:
-            return self.name.value
-        try:
-            return f"{self.name.value}:{self.param}"
-        except ValueError:  # an index past the interpreter's int-to-decimal limit
-            sign = "-" * (self.param < 0)
-            return f"{self.name.value}:{sign}<{self.param.bit_length()}-bit integer>"
+        return self.name.value if self.param is None else listed((self.name.value, self.param), ":")
 
 
 # What the rule engine's faults do to the product's own copy of a rule.
@@ -334,7 +319,7 @@ def fault_problem(
     if name is FaultName.INVERT_RULE and not 0 <= param < rule_count:
         problem = f"rule index outside the {rule_count}-rule set"
     elif name is FaultName.BLIND_INTEGRITY and param not in file_ids:
-        problem = f"unknown file {param!r}"
+        problem = f"unknown file {shown(param)}"
     elif name is FaultName.LEAK_CREDENTIALS and auth_mode is not AuthMode.REMOTE:
         problem = "needs remote sign-on mode"
     else:
@@ -346,7 +331,7 @@ def duplicate_problem(noun: str, keys: Iterable[Hashable]) -> str | None:
     """``duplicate <noun>: …`` naming each key given more than once, or None."""
     keys = list(keys)
     dup = len(set(keys)) < len(keys) and sorted(k for k, n in Counter(keys).items() if n > 1)
-    return f"duplicate {noun}: {', '.join(map(str, dup))}" if dup else None
+    return f"duplicate {noun}: {listed(dup)}" if dup else None
 
 
 def configuration_problems(
@@ -478,8 +463,7 @@ class Firewall:
     def modify_file(self, mutation: Mutation) -> None:
         """Apply one byte edit to the file it names; the baseline digest is left untouched."""
         file_id = mutation.file_id
-        if file_id not in self._files:
-            raise Refused(f"no such monitored file: {file_id}")
+        refuse(file_id not in self._files and f"no such monitored file: {shown(file_id, str)}")
         self._files[file_id] = mutation.apply(self._files[file_id])
 
     def _flags(self, file_id: str, content: bytes) -> bool:
@@ -490,8 +474,7 @@ class Firewall:
 
         Each violation also leaves an alarm entry in the journal.
         """
-        if self._baselines is None:
-            raise Refused("integrity baselines were never recorded")
+        refuse(self._baselines is None and "integrity baselines were never recorded")
         report: dict[str, int] = {}
         for file_id, content in self._files.items():
             violated = self._flags(file_id, content)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .errors import Refused, refuse
+from .errors import Refused, listed, refuse
 from .firewall import AuthMode
 
 
@@ -158,7 +158,7 @@ def scope_problems(claims: Sequence[str], scope: Sequence[str]) -> list[str]:
     found = (
         len(set(claims)) != len(claims) and "duplicate claim ids",
         len(set(scope)) != len(scope) and "duplicate requirement ids listed",
-        *(ids and f"{what}: {', '.join(ids)}" for what, ids in named),
+        *(ids and f"{what}: {listed(ids)}" for what, ids in named),
     )
     return [problem for problem in found if problem]
 
@@ -202,7 +202,7 @@ def capability_problem(kind: RequirementKind, caps: Capabilities) -> str | None:
         return "link-layer is off"
     missing = [f for f in ("proto", "ttl") if f not in caps.filter_fields]
     if kind is RequirementKind.FIELD_FILTER and missing:
-        return f"filter-fields lacks {', '.join(missing)}"
+        return f"filter-fields lacks {listed(missing)}"
     if kind is RequirementKind.ADMIN_AUTH and caps.auth_mode is None:
         return "auth is none"
     if kind is RequirementKind.INTEGRITY_CONTROL and not caps.integrity_trigger:
@@ -299,9 +299,9 @@ def aggregate_verdict(
     extra = set(outcomes) - set(ids)
     parts = []
     if missing:
-        parts.append(f"no outcome for {', '.join(sorted(missing))}")
+        parts.append(f"no outcome for {listed(sorted(missing))}")
     if extra:
-        parts.append(f"outcome for requirement outside scope: {', '.join(sorted(extra))}")
+        parts.append(f"outcome for requirement outside scope: {listed(sorted(extra))}")
     refuse(*scope_problems(claimed, ids), "; ".join(parts))
     pairs = []
     for req, bit in claims:

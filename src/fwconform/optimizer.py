@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Mapping, Sequence
 
-from .errors import Infeasible, Refused, refuse
+from .errors import Infeasible, Refused, listed, refuse, shown, type_problem
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,13 @@ class ProcedureVariant:
     cost: int
 
     def __post_init__(self):
-        name = f"{self.requirement_id}/{self.variant_id}"
         if {type(self.time), type(self.cost)} != {int}:
-            raise Refused(f"{name}: time and cost must be integers: {self.time!r}, {self.cost!r}")
-        if self.time < 0 or self.cost < 0:
-            raise Refused(f"{name}: negative time or cost")
+            problem = f"time and cost must be integers: {shown(self.time)}, {shown(self.cost)}"
+        elif self.time >= 0 and self.cost >= 0:
+            return
+        else:
+            problem = "negative time or cost"
+        raise Refused(f"{listed((self.requirement_id, self.variant_id), '/')}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,8 @@ class CampaignPlan:
 def duplicate_variant_problem(variants: Iterable[ProcedureVariant]) -> str | None:
     """``duplicate variant(s): r1/a`` naming each (requirement, variant) id pair given twice."""
     found = Counter((v.requirement_id, v.variant_id) for v in variants)
-    dup = sorted("/".join(pair) for pair, count in found.items() if count > 1)
-    return f"duplicate variant(s): {', '.join(dup)}" if dup else None
+    dup = sorted(listed(pair, "/") for pair, count in found.items() if count > 1)
+    return f"duplicate variant(s): {listed(dup)}" if dup else None
 
 
 def _validated_groups(
@@ -66,12 +68,20 @@ def _validated_groups(
     for rid, variants in catalog.items():
         stray = [v.variant_id for v in variants if v.requirement_id != rid]
         refuse(
-            not variants and f"requirement {rid} has no procedure variants",
+            not variants and f"requirement {shown(rid, str)} has no procedure variants",
             duplicate_variant_problem(variants),
-            stray and f"variants filed under {rid} but naming another requirement: {stray}",
+            stray and f"variants filed under {shown(rid, str)} but naming another requirement:"
+            f" {shown(stray)}",
         )
         groups.append(tuple(variants))
     return groups
+
+
+def budget_problem(budget: int | None) -> str | None:
+    """Why a budget is neither None, for no cap, nor an integer >= 0, or None."""
+    if budget is None or type(budget) is int and budget >= 0:
+        return None
+    return type_problem("budget", budget, int) or f"budget must be nonnegative: {shown(budget)}"
 
 
 def _as_plan(chosen: Sequence[ProcedureVariant], budget: int | None) -> CampaignPlan:
@@ -93,7 +103,7 @@ def optimize_plan(
     limit no selection can overrun: the dearest variant of every group.
     """
     groups = _validated_groups(catalog)
-    refuse(budget is not None and budget < 0 and f"budget must be nonnegative: {budget}")
+    refuse(budget_problem(budget))
     limit = sum(max(v.cost for v in g) for g in groups) if budget is None else budget
 
     @cache
@@ -120,6 +130,7 @@ def optimize_plan(
     if found is None:
         floor = sum(min(v.cost for v in g) for g in groups)
         raise Infeasible(
-            f"budget {budget} cannot cover the campaign; cheapest selection costs {floor}"
+            f"budget {shown(budget)} cannot cover the campaign;"
+            f" cheapest selection costs {shown(floor)}"
         )
     return _as_plan(found[1], budget)

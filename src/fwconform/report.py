@@ -43,7 +43,7 @@ from operator import attrgetter, itemgetter
 from types import UnionType
 from typing import Callable, NamedTuple, Union, get_args, get_origin, get_type_hints
 
-from .errors import Refused, ReportFormatError, refuse
+from .errors import Refused, ReportFormatError, refuse, shown
 from .firewall import Address, duplicate_problem
 from .formal import (
     ALL_REQUIREMENTS, CampaignVerdict, ProcedureOutcome, RequirementKind,
@@ -111,11 +111,7 @@ class _Codec(NamedTuple):
 
 
 def _show(value) -> str:
-    try:
-        return f"{json.dumps(value):.40}"
-    except RecursionError:
-        kind = "an object" if isinstance(value, dict) else "an array"
-        return f"{kind} nested past the recursion limit"
+    return shown(value, lambda v: f"{json.dumps(v):.40}")
 
 
 def _write_str(value: str) -> str:
@@ -233,7 +229,7 @@ def _codec(tp, depth: int) -> _Codec:
     if is_dataclass(tp):
         schema = [("schema", SCHEMA)] if tp is Report else []
         return _object_codec(tp, depth, _fields(tp, ""), schema)
-    raise TypeError(f"no report codec for {tp!r}")
+    raise TypeError(f"no report codec for {shown(tp)}")
 
 
 def _object_codec(
@@ -295,7 +291,7 @@ def report_from_dict(data: dict) -> Report:
     try:
         refuse(not isinstance(data, dict) and f"expected a JSON object, got {_show(data)}")
         schema = data.get("schema")
-        refuse(schema != SCHEMA and f"unknown report schema {schema!r}")
+        refuse(schema != SCHEMA and f"unknown report schema {shown(schema)}")
         report = _codec(Report, 0).decode(data)
         pairs, ids = report.campaign.pairs, [r.procedure.requirement_id for r in report.procedures]
         refuse(*scope_problems((), [rid for rid, _, _ in pairs]))
@@ -328,7 +324,7 @@ def export_report(report: Report, fmt: str = "machine") -> str:
         return _codec(Report, 0).write(report) + "\n"
     if fmt == "human":
         return render_human(report)
-    raise Refused(f"unknown report format {fmt!r}")
+    raise Refused(f"unknown report format {shown(fmt)}")
 
 
 @contextmanager

@@ -30,7 +30,9 @@ from dataclasses import dataclass, replace
 from functools import cache
 from typing import Sequence
 
-from .errors import Refused, ScenarioParseError, ScenarioValidationError
+from .errors import (
+    Refused, ScenarioParseError, ScenarioValidationError, listed, shown, type_problem
+)
 from .firewall import (
     AdminAccount,
     Address,
@@ -47,7 +49,7 @@ from .formal import (
     ALL_REQUIREMENTS, Capabilities, FirewallProfile, RequirementKind,
     capability_problem, scope_problems,
 )
-from .optimizer import ProcedureVariant, duplicate_variant_problem
+from .optimizer import ProcedureVariant, budget_problem, duplicate_variant_problem
 from .testbench import (
     Host, TrafficSpec, account_problem, attempt_coverage_problem, endpoint_problems,
     filter_level_problem, monitored_file_problem, replay_mutations, topology_problems,
@@ -216,7 +218,7 @@ class _Parser:
                     self.fail(line_no, f"unknown section [{section}]")
                 continue
             if read is None:
-                self.fail(line_no, f"directive outside any section: {line!r}")
+                self.fail(line_no, f"directive outside any section: {shown(line)}")
                 continue
             try:
                 read(line)
@@ -337,17 +339,14 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     def say(*found: str | bool | None) -> None:  # skips None, False and empty values
         problems.extend(problem for problem in found if problem)
 
+    seed = scenario.seed
     say(
         not scenario.name and "profile has no name",
         not scenario.claims and "profile claims no requirements",
         *scope_problems(scenario.claims, scenario.requirements),
+        type_problem("seed", seed, int) or seed < 0 and f"seed must be nonnegative: {shown(seed)}",
+        budget_problem(scenario.budget),
     )
-    for what in ("seed", "budget"):
-        value = getattr(scenario, what)
-        if type(value) is not int:  # refuses bools too; a None budget is unlimited
-            say((what, value) != ("budget", None) and f"{what} must be an integer: {value!r}")
-        else:
-            say(value < 0 and f"{what} must be nonnegative: {value}")
     if scenario.management:
         try:
             Address(scenario.management)
@@ -384,8 +383,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     problems += replay_mutations(contents, scenario.mutations)[1]
 
     say(duplicate_variant_problem(scenario.variants))
-    stray = sorted({v.requirement_id for v in scenario.variants} - set(scenario.claims))
-    say(stray and f"variant(s) for unclaimed requirement(s): {', '.join(stray)}")
+    stray = {v.requirement_id for v in scenario.variants} - set(scenario.claims)
+    stray = sorted(shown(rid, str) for rid in stray)
+    say(stray and f"variant(s) for unclaimed requirement(s): {listed(stray)}")
 
     for fault in scenario.faults:
         say(fault_problem(fault, len(scenario.rules), contents, caps.auth_mode))

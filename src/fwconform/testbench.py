@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .errors import Refused, refuse
+from .errors import Refused, listed, refuse, shown
 from .firewall import (
     DEFAULT_PROTO,
     DEFAULT_TTL,
@@ -67,9 +67,7 @@ class TrafficSpec:
 
     def __post_init__(self):
         normalize_links(self)
-        problem = packet_field_problem(self.proto, self.ttl)
-        if problem:
-            raise Refused(problem)
+        refuse(packet_field_problem(self.proto, self.ttl))
 
 
 class Testbench:
@@ -119,7 +117,7 @@ class Testbench:
         try:
             return self._hosts[name]
         except KeyError:
-            raise Refused(f"no host named {name!r} on the bench") from None
+            raise Refused(f"no host named {shown(name)} on the bench") from None
 
 
 def topology_problems(external: Sequence[Host], internal: Sequence[Host]) -> list[str]:
@@ -146,9 +144,9 @@ def endpoint_problems(
     problems = []
     for i, record in enumerate(records, start=1):
         if record.src not in external:
-            problems.append(f"{noun} {i}: source {record.src!r} is not an external host")
+            problems.append(f"{noun} {i}: source {shown(record.src)} is not an external host")
         if record.dst not in internal:
-            problems.append(f"{noun} {i}: destination {record.dst!r} is not an internal host")
+            problems.append(f"{noun} {i}: destination {shown(record.dst)} is not an internal host")
     return problems
 
 
@@ -229,7 +227,7 @@ def filter_level_problem(
     if level is FilterLevel.LINK:
         bare = [h.name for h in hosts if h.address.link is None]
         if bare:
-            return f"host(s) without link address: {', '.join(bare)}"
+            return f"host(s) without link address: {listed(bare)}"
     if level is FilterLevel.FIELDS and not any(r.constrains_fields for r in rules):
         return "no rule constrains proto or ttl"
     return None
@@ -466,7 +464,7 @@ def replay_mutations(
     problems = []
     for i, m in enumerate(mutations, start=1):
         if m.file_id not in contents:
-            problems.append(f"mutation {i}: unknown file {m.file_id!r}")
+            problems.append(f"mutation {i}: unknown file {shown(m.file_id)}")
             continue
         try:
             contents[m.file_id] = m.apply(contents[m.file_id])

@@ -276,6 +276,13 @@ _REFUSED = {
     "no-seed": (dict(seed=None), "seed must be an integer: None"),
     "text-budget": (dict(budget="3"), "budget must be an integer: '3'"),
     "bool-budget": (dict(budget=True), "budget must be an integer: True"),
+    "huge-negative-seed": (
+        dict(seed=-(10**5000)), "seed must be nonnegative: -<16610-bit integer>"
+    ),
+    "huge-negative-budget": (
+        dict(budget=-(10**5000)), "budget must be nonnegative: -<16610-bit integer>"
+    ),
+    "int-claim": (dict(claims=(5,), requirements=(5,)), "unknown requirement id(s) claimed: 5"),
     "link-layer-off": (
         _claiming("r1-link", capabilities=Capabilities(link_layer=False), **_LINKED),
         "r1-link claimed but link-layer is off",
@@ -368,6 +375,16 @@ _REFUSED = {
     "stray-variant": (
         dict(variants=(ProcedureVariant("r2", "a", 1, 0),)),
         "variant(s) for unclaimed requirement(s): r2",
+    ),
+    "int-stray-variant": (
+        dict(variants=(ProcedureVariant(5, "a", 1, 0),)),
+        "variant(s) for unclaimed requirement(s): 5",
+    ),
+    "huge-flip": (
+        _claiming(
+            "r3", files=(FileArtifact("a", b"x"),), mutations=(Mutation("a", "flip", 10**5000),)
+        ),
+        "mutation 1: flip offset <16610-bit integer> beyond end of a (1 bytes)",
     ),
     "malformed-management": (
         dict(management="bogus"),

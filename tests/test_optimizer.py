@@ -4,7 +4,7 @@ import pytest
 
 from _oracles import oracle_plan
 from _support import BRUTE_FORCE_LIMIT, TooLarge, brute_force_plan
-from fwconform.errors import FwconformError, Infeasible
+from fwconform.errors import FwconformError, Infeasible, Refused
 from fwconform.optimizer import ProcedureVariant, duplicate_variant_problem, optimize_plan
 
 
@@ -48,6 +48,22 @@ def test_negative_budget_is_a_usage_error():
     with pytest.raises(ValueError, match="^budget must be nonnegative: -1$") as caught:
         optimize_plan(TWO_REQS, budget=-1)
     assert isinstance(caught.value, FwconformError)
+
+
+@pytest.mark.parametrize(
+    "budget, problem",
+    [
+        ("3", "budget must be an integer: '3'"),
+        (True, "budget must be an integer: True"),
+        (2.5, "budget must be an integer: 2.5"),
+        (-(10**5000), "budget must be nonnegative: -<16610-bit integer>"),
+    ],
+    ids=["text", "bool", "float", "huge-negative"],
+)
+def test_a_budget_is_none_or_an_integer_at_least_zero(budget, problem):
+    with pytest.raises(Refused) as caught:
+        optimize_plan(TWO_REQS, budget)
+    assert str(caught.value) == problem
 
 
 def test_negative_time_or_cost_is_rejected_at_construction():
